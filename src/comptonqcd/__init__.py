@@ -2,8 +2,9 @@
 
 Dimension-checked quantities (hbar = c = 1, m_e = 1), spherically symmetric
 stress-energy kernel integrals, the Cornell confinement potential with exact
-fractional charges, the quark and pion mass-estimate chain, and a Numerov
-bound-state solver that checks confinement at the Compton scale.
+fractional charges, the quark and pion mass-estimate chain, and a
+Lagrange–Laguerre mesh bound-state solver that checks confinement at the
+Compton scale.
 """
 
 from .errors import (
@@ -73,8 +74,8 @@ from .spectrum import (
     bound_state_sidecar,
     confinement_ratio,
     confinement_report,
+    cover_extent,
     make_default_problem,
-    numerov_integrate,
     rms_radius,
     solve_bound_state,
     virial_check,

@@ -371,6 +371,8 @@ def _run_spectrum(cfg: RunConfig) -> dict:
     ell = int(opts.get("ell", 0))
     n = int(opts.get("n", 1))
     cornell = pot.CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2))
+    # also rejects mu <= 0, n < 1 and ell < 0 before the scales below divide by them
+    extent = spec.cover_extent(alpha, sigma, mu, n, ell)
     scale = 0.0
     if alpha > 0.0:
         scale = max(scale, 1.0 / (mu * alpha))
@@ -379,23 +381,18 @@ def _run_spectrum(cfg: RunConfig) -> dict:
     if scale == 0.0:
         scale = 1.0
     r_min = float(opts.get("r_min", spec.R_MIN_FACTOR * scale))
-    r_max = float(opts.get("r_max", spec.R_MAX_FACTOR * scale * max(1, n)))
+    r_max = float(opts.get("r_max", extent))
     grid_points = int(opts.get("grid_points", spec.DEFAULT_GRID_POINTS))
     problem = spec.RadialProblem(
         cornell, Quantity(mu, 1), Quantity(r_min, -1), Quantity(r_max, -1), ell, grid_points
     )
     state = spec.solve_bound_state(problem, n)
     payload = spec.bound_state_sidecar(state, problem)
-    payload.update(
-        {"alpha": alpha, "sigma": sigma, "mu": mu, "ell": ell, "r_min": r_min, "r_max": r_max}
-    )
     rows = [["r", "u"]]
     for rv, uv in zip(state.radii, state.u):
         rows.append([fmt(rv), fmt(uv)])
     table_rows = [["quantity", "value"]] + [
-        [key, fmt(val) if isinstance(val, float) else str(val)]
-        for key, val in payload.items()
-        if key != "tolerances"
+        [key, fmt(val) if isinstance(val, float) else str(val)] for key, val in payload.items()
     ]
     return {
         "json": payload,

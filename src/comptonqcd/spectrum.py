@@ -1,25 +1,19 @@
-"""Radial bound states of the Cornell potential by Numerov shooting.
+"""Radial bound states of the Cornell potential on a Lagrange–Laguerre mesh.
 
-The reduced radial equation u'' = 2*mu*(V_eff - E)*u, with
-V_eff = -alpha/r + sigma*r + ell*(ell+1)/(2*mu*r^2), integrates outward on a
-uniform grid with u(r_min) = 0 and u(r_min + h) = h**(ell+1).  Eigenvalues
-come in two stages:
+The radial equation -u''/(2 mu) + V_eff u = E u, with V_eff = -alpha/r +
+sigma r + ell(ell+1)/(2 mu r^2), is discretized on the regularized
+Lagrange–Laguerre mesh (D. Baye, "The Lagrange-mesh method", Phys. Rep. 565,
+1, 2015): r_i = h x_i at the N zeros x_i of L_N, with basis functions that
+vanish like r at the origin.  In the Gauss approximation
+H = T / (2 mu h^2) + diag(V_eff(h x_i)) with T in closed form, and one
+``numpy.linalg.eigh`` gives every level.  The mesh has N = 50 + 4n points and
+ends at :func:`cover_extent`, the outer turning point of level n plus 15
+decay lengths.
 
-1. bisection on the interior node count (which steps from n-1 to n exactly at
-   the n-th discrete eigenvalue) until the bracket is 1e-10 relative;
-2. refinement of the logarithmic-derivative match between the outward sweep
-   and an inward sweep from r_max, evaluated at the outer classical turning
-   point, until 1e-13 relative.
-
-The final wavefunction glues the outward solution (stable in the allowed
-region) to the inward one (stable in the forbidden tail), normalizes
-Int u^2 dr = 1 with composite Simpson, and reports the node count and RMS
-radius.  Exponential growth during sweeps is tamed by rescaling the rolling
-values in place; the solution is only defined up to normalization, so this
-changes nothing.
-
-Everything is deterministic: fixed iteration order, fixed tolerances, no
-randomness, so repeated solves are bit-identical.
+r_min, r_max and grid_points only set the output table, on which u is
+evaluated, normalized with composite Simpson and its RMS radius taken.  The
+solve checks that the table shows n - 1 nodes and holds all but 1e-6 of the
+probability.  Solves are deterministic and repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +33,7 @@ from .quadrature import composite_simpson
 __all__ = [
     "RadialProblem",
     "BoundState",
-    "numerov_integrate",
+    "cover_extent",
     "solve_bound_state",
     "rms_radius",
     "virial_check",
@@ -48,20 +42,21 @@ __all__ = [
     "make_default_problem",
     "write_bound_state_csv",
     "bound_state_sidecar",
-    "BRACKET_REL_TOL",
-    "REFINE_REL_TOL",
     "DEFAULT_GRID_POINTS",
     "R_MIN_FACTOR",
     "R_MAX_FACTOR",
 ]
 
-BRACKET_REL_TOL = 1e-10
-REFINE_REL_TOL = 1e-13
 DEFAULT_GRID_POINTS = 20000
 R_MIN_FACTOR = 1e-6
 R_MAX_FACTOR = 40.0
 
-_RESCALE_LIMIT = 1e250
+# decay lengths the mesh covers beyond the outer classical turning point
+_DECAY_LENGTHS = 15.0
+# highest level solved; Coulomb levels stop converging near n = 60
+_MAX_LEVEL = 50
+# probability the output table may miss; also virial_check's normalization test
+_NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -121,279 +116,129 @@ class BoundState:
     rms_radius: Quantity
 
 
-def _grid(p: RadialProblem) -> tuple[np.ndarray, float]:
-    r = np.linspace(p.r_min.value, p.r_max.value, p.grid_points)
-    return r, (p.r_max.value - p.r_min.value) / (p.grid_points - 1)
+def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> float:
+    """Outer classical turning point of level n plus 15 decay lengths.
+
+    With a linear term (sigma > 0) the turning point is E/sigma at the WKB
+    energy E = (sigma^2/2mu)^(1/3) (3pi/2 (n + ell/2 - 1/4))^(2/3) and the
+    decay length is (2 mu sigma)^(-1/3).  For pure Coulomb the turning point
+    is 2(n+ell)^2/(mu alpha) and the decay length (n+ell)/(mu alpha).
+    """
+    if not 1 <= n <= _MAX_LEVEL:
+        raise DomainError(f"level must be an integer from 1 to {_MAX_LEVEL}, got {n}")
+    if ell < 0:
+        raise DomainError("angular momentum must be non-negative")
+    if not mu > 0.0:
+        raise DomainError("reduced mass must be positive")
+    if sigma > 0.0:
+        wkb = (1.5 * math.pi * (n + 0.5 * ell - 0.25)) ** (2.0 / 3.0)
+        energy = (sigma * sigma / (2.0 * mu)) ** (1.0 / 3.0) * wkb
+        return energy / sigma + _DECAY_LENGTHS * (2.0 * mu * sigma) ** (-1.0 / 3.0)
+    if alpha > 0.0:
+        k = n + ell
+        return (2.0 * k * k + _DECAY_LENGTHS * k) / (mu * alpha)
+    raise NoBoundState("potential is identically zero")
+
+
+def _mesh_size(n: int) -> int:
+    """Mesh points for level n; fewer let far-tail sign flips fake nodes."""
+    return 50 + 4 * n
+
+
+def _laguerre_mesh(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros x_j of L_size and V_kj = sqrt(w_j) p_k(x_j), p_k = (-1)^k L_k orthonormal.
+
+    The zeros are the eigenvalues of the Jacobi matrix (diagonal 2i+1,
+    off-diagonal i).  As 1/w_j = sum_k p_k(x_j)^2, V is p_k(x_j) scaled to unit
+    columns; the common factor e^(-x_j/2) cancels there and keeps high degrees finite.
+    """
+    off = np.arange(1.0, size)
+    jacobi = np.diag(2.0 * np.arange(size) + 1.0) + np.diag(off, 1) + np.diag(off, -1)
+    x = np.linalg.eigvalsh(jacobi)
+    p = np.empty((size, size))
+    p[0] = np.exp(-0.5 * x)
+    p[1] = (x - 1.0) * p[0]
+    for k in range(1, size - 1):
+        p[k + 1] = ((x - (2 * k + 1)) * p[k] - k * p[k - 1]) / (k + 1)
+    return x, p / np.linalg.norm(p, axis=0)
+
+
+def _kinetic_matrix(x: np.ndarray) -> np.ndarray:
+    """-d^2/dx^2 on the regularized Laguerre mesh, in the Gauss approximation."""
+    size = len(x)
+    idx = np.arange(size)
+    sign = 1.0 - 2.0 * ((idx[:, None] + idx) % 2)
+    diff = x[:, None] - x
+    np.fill_diagonal(diff, 1.0)
+    kinetic = sign * (x[:, None] + x) / (np.sqrt(np.outer(x, x)) * diff * diff)
+    np.fill_diagonal(kinetic, -(x * x - 2.0 * (2 * size + 1) * x - 4.0) / (12.0 * x * x))
+    return kinetic
 
 
 def _effective_potential(p: RadialProblem, r: np.ndarray) -> np.ndarray:
-    alpha = p.potential.alpha.value
-    sigma = p.potential.sigma.value
     ell = p.angular_momentum
-    veff = -alpha / r + sigma * r
-    if ell:
-        veff = veff + ell * (ell + 1) / (2.0 * p.reduced_mass.value * r * r)
-    return veff
+    centrifugal = ell * (ell + 1) / (2.0 * p.reduced_mass.value * r * r)
+    return -p.potential.alpha.value / r + p.potential.sigma.value * r + centrifugal
 
 
-def _coefficients(veff: np.ndarray, mu: float, h: float, energy: float) -> tuple[list, list]:
-    """Numerov coefficients a = 2 + 10T and b = 1 - T with T = (h^2/12) 2mu (V-E)."""
-    t = (h * h / 12.0) * (2.0 * mu) * (veff - energy)
-    a = 2.0 + 10.0 * t
-    b = 1.0 - t
-    b[b == 0.0] = 1e-300  # keep the recurrence total; exact zeros are measure zero
-    return a.tolist(), b.tolist()
+def _wavefunction(c: np.ndarray, x: np.ndarray, basis: np.ndarray, h: float,
+                 r: np.ndarray) -> np.ndarray:
+    """u(r) = sum_j c_j f_j(r/h) / sqrt(h), f_j(t) = (t/x_j) e^(-t/2) sum_k p_k(t) V_kj.
 
-
-def _sweep_count(a: list, b: list, u_start: float, n_points: int) -> int:
-    """Outward sweep keeping only the rolling pair; returns the node count."""
-    u0 = 0.0
-    u1 = u_start
-    count = 0
-    for i in range(1, n_points - 1):
-        u2 = (a[i] * u1 - b[i - 1] * u0) / b[i + 1]
-        if u2 > _RESCALE_LIMIT or u2 < -_RESCALE_LIMIT:
-            inv = 1.0 / abs(u2)
-            u2 *= inv
-            u1 *= inv
-        if u2 * u1 < 0.0:
-            count += 1
-        u0, u1 = u1, u2
-    return count
-
-
-def _sweep_match(
-    a: list, b: list, h: float, u_start: float, i_tp: int, n_points: int
-) -> float | None:
-    """Log-derivative mismatch (outward minus inward) at the turning point."""
-    u0 = 0.0
-    u1 = u_start
-    for i in range(1, i_tp + 1):
-        u2 = (a[i] * u1 - b[i - 1] * u0) / b[i + 1]
-        if u2 > _RESCALE_LIMIT or u2 < -_RESCALE_LIMIT:
-            inv = 1.0 / abs(u2)
-            u2 *= inv
-            u1 *= inv
-            u0 *= inv
-        u0, u1 = u1, u2
-    # the loop leaves u0 = u[i_tp], u1 = u[i_tp + 1]; invert the last recurrence
-    # step, b[i+1] u[i+1] = a[i] u[i] - b[i-1] u[i-1], to recover u[i_tp - 1]
-    out_0, out_p1 = u0, u1
-    out_m1 = (a[i_tp] * out_0 - b[i_tp + 1] * out_p1) / b[i_tp - 1]
-
-    v1 = 0.0
-    v0 = u_start
-    for i in range(n_points - 2, i_tp - 1, -1):
-        vm1 = (a[i] * v0 - b[i + 1] * v1) / b[i - 1]
-        if vm1 > _RESCALE_LIMIT or vm1 < -_RESCALE_LIMIT:
-            inv = 1.0 / abs(vm1)
-            vm1 *= inv
-            v0 *= inv
-            v1 *= inv
-        v1, v0 = v0, vm1
-    # the loop leaves v0 = u[i_tp - 1], v1 = u[i_tp]; same inversion for u[i_tp + 1]
-    in_m1, in_0 = v0, v1
-    in_p1 = (a[i_tp] * in_0 - b[i_tp - 1] * in_m1) / b[i_tp + 1]
-
-    if out_0 == 0.0 or in_0 == 0.0:
-        return None
-    return (out_p1 - out_m1) / (2.0 * h * out_0) - (in_p1 - in_m1) / (2.0 * h * in_0)
-
-
-def _outward_array(a: list, b: list, u_start: float, stop: int) -> np.ndarray:
-    """Outward solution u[0..stop] with in-place prefix rescaling."""
-    u = np.zeros(stop + 1)
-    if stop >= 1:
-        u[1] = u_start
-    u0, u1 = 0.0, u_start
-    for i in range(1, stop):
-        u2 = (a[i] * u1 - b[i - 1] * u0) / b[i + 1]
-        if u2 > _RESCALE_LIMIT or u2 < -_RESCALE_LIMIT:
-            inv = 1.0 / abs(u2)
-            u[: i + 1] *= inv
-            u2 *= inv
-            u1 *= inv
-        u[i + 1] = u2
-        u0, u1 = u1, u2
-    return u
-
-
-def _inward_array(a: list, b: list, u_start: float, start: int, n_points: int) -> np.ndarray:
-    """Inward solution over grid indices [start..n_points-1], suffix-rescaled."""
-    m = n_points - start
-    v = np.zeros(m)
-    v[m - 1] = 0.0
-    if m >= 2:
-        v[m - 2] = u_start
-    v1, v0 = 0.0, u_start
-    for i in range(n_points - 2, start, -1):
-        vm1 = (a[i] * v0 - b[i + 1] * v1) / b[i - 1]
-        if vm1 > _RESCALE_LIMIT or vm1 < -_RESCALE_LIMIT:
-            inv = 1.0 / abs(vm1)
-            v[i - start :] *= inv
-            vm1 *= inv
-            v0 *= inv
-        v[i - 1 - start] = vm1
-        v1, v0 = v0, vm1
-    return v
-
-
-def numerov_integrate(p: RadialProblem, energy: "Quantity | float") -> tuple[np.ndarray, int]:
-    """Outward Numerov solution at a trial energy and its interior node count.
-
-    The solution starts from u(r_min) = 0, u(r_min + h) = h**(ell+1) and is
-    defined up to normalization (overflowing stretches are rescaled in place).
+    So u = t e^(-t/2) sum_k b_k p_k(t) / sqrt(h) with b = V (c/x), summed by
+    Clenshaw's recurrence on a few table-sized arrays; e^(-t/2) enters at every
+    step, so no term overflows at large t.
     """
-    e = _energy_value(energy)
-    r, h = _grid(p)
-    veff = _effective_potential(p, r)
-    a, b = _coefficients(veff, p.reduced_mass.value, h, e)
-    u_start = h ** (p.angular_momentum + 1)
-    u = _outward_array(a, b, u_start, p.grid_points - 1)
-    return u, _count_sign_changes(u)
-
-
-def _energy_value(energy: "Quantity | float") -> float:
-    if isinstance(energy, Quantity):
-        if energy.dim != 1:
-            raise DomainError(f"energy must have dim 1, got dim {energy.dim}")
-        return energy.value
-    e = float(energy)
-    if not math.isfinite(e):
-        raise DomainError(f"energy must be finite, got {energy!r}")
-    return e
-
-
-def _count_sign_changes(u: np.ndarray, threshold_frac: float = 0.0) -> int:
-    if threshold_frac:
-        peak = float(np.max(np.abs(u)))
-        mask = np.abs(u) > threshold_frac * peak
-        vals = u[mask]
-    else:
-        vals = u[u != 0.0]
-    if len(vals) < 2:
-        return 0
-    return int(np.sum(vals[:-1] * vals[1:] < 0.0))
+    t = r / h
+    b = basis @ (c / x)
+    decay = np.exp(-0.5 * t)
+    y1 = np.zeros_like(t)
+    y2 = np.zeros_like(t)
+    # p_(k+1) = ((t - 2k - 1) p_k - k p_(k-1)) / (k + 1)
+    for k in range(len(b) - 1, -1, -1):
+        y1, y2 = b[k] * decay + (t - (2 * k + 1)) / (k + 1) * y1 - (k + 1) / (k + 2) * y2, y1
+    return t * y1 / math.sqrt(h)
 
 
 def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
     """The n-th bound state (n = 1 is the ground state, n-1 interior nodes).
 
-    Raises :class:`NoBoundState` when both potential terms vanish and
-    :class:`GridTooSmall` when fewer than n states fit below V(r_max).
+    Raises :class:`NoBoundState` when both potential terms vanish, and
+    :class:`GridTooSmall` when the output table misses more than 1e-6 of the
+    probability or shows a node count other than n - 1.
     """
-    if n < 1:
-        raise DomainError(f"level must be a positive integer, got {n}")
-    alpha = p.potential.alpha.value
-    sigma = p.potential.sigma.value
-    if alpha == 0.0 and sigma == 0.0:
-        raise NoBoundState("potential is identically zero")
-    r, h = _grid(p)
-    veff = _effective_potential(p, r)
-    mu = p.reduced_mass.value
-    n_pts = p.grid_points
-    u_start = h ** (p.angular_momentum + 1)
+    alpha, sigma, mu = p.potential.alpha.value, p.potential.sigma.value, p.reduced_mass.value
+    extent = cover_extent(alpha, sigma, mu, n, p.angular_momentum)
+    x, basis = _laguerre_mesh(_mesh_size(n))
+    h = extent / x[-1]
+    hamiltonian = _kinetic_matrix(x) / (2.0 * mu * h * h)
+    hamiltonian[np.diag_indices_from(hamiltonian)] += _effective_potential(p, h * x)
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    c = vectors[:, n - 1]
+    # u > 0 near the origin, where it rises like r^(ell+1)
+    if c[np.argmax(np.abs(c) > 1e-6 * np.max(np.abs(c)))] < 0.0:
+        c = -c
 
-    def count(e: float) -> int:
-        a, b = _coefficients(veff, mu, h, e)
-        return _sweep_count(a, b, u_start, n_pts)
-
-    e_hi = float(veff[-1])
-    e_lo = _bracket_floor(float(np.min(veff)), e_hi, alpha, mu)
-    c_hi = count(e_hi)
-    if c_hi < n:
-        raise GridTooSmall(
-            f"level {n} is not representable: only {c_hi} node(s) below V(r_max)"
-        )
-    lo, hi = e_lo, e_hi
-    for _ in range(300):
-        if hi - lo <= BRACKET_REL_TOL * max(abs(lo), abs(hi), 1e-12):
-            break
-        mid = 0.5 * (lo + hi)
-        if count(mid) >= n:
-            hi = mid
-        else:
-            lo = mid
-
-    e_mid = 0.5 * (lo + hi)
-    i_tp = _turning_point_index(veff, e_mid, n_pts)
-
-    def mismatch(e: float) -> float | None:
-        a, b = _coefficients(veff, mu, h, e)
-        return _sweep_match(a, b, h, u_start, i_tp, n_pts)
-
-    f_lo = mismatch(lo)
-    f_hi = mismatch(hi)
-    e_star = e_mid
-    if f_lo is not None and f_hi is not None and f_lo * f_hi < 0.0:
-        a_e, b_e, f_a = lo, hi, f_lo
-        for _ in range(120):
-            if b_e - a_e <= REFINE_REL_TOL * max(abs(a_e), abs(b_e), 1e-12):
-                break
-            m_e = 0.5 * (a_e + b_e)
-            f_m = mismatch(m_e)
-            if f_m is None:
-                break
-            if f_a * f_m <= 0.0:
-                b_e = m_e
-            else:
-                a_e, f_a = m_e, f_m
-        e_star = 0.5 * (a_e + b_e)
-
-    a, b = _coefficients(veff, mu, h, e_star)
-    in_start = i_tp - 1  # turning point index is clamped to [2, n_pts - 3]
-    u_out = _outward_array(a, b, u_start, i_tp + 1)
-    u_in = _inward_array(a, b, u_start, in_start, n_pts)
-    u = np.empty(n_pts)
-    anchor_out = u_out[i_tp]
-    anchor_in = u_in[i_tp - in_start]
-    if anchor_in != 0.0 and anchor_out != 0.0:
-        scale = anchor_out / anchor_in
-        u[: i_tp + 1] = u_out[: i_tp + 1]
-        u[i_tp + 1 :] = scale * u_in[i_tp + 1 - in_start :]
-    else:
-        u, _ = numerov_integrate(p, e_star)
-
-    norm = composite_simpson(u * u, h)
-    if norm <= 0.0:
-        raise GridTooSmall("wavefunction collapsed to zero on the grid")
+    r = np.linspace(p.r_min.value, p.r_max.value, p.grid_points)
+    step = float(r[1] - r[0])
+    u = _wavefunction(c, x, basis, h, r)
+    norm = composite_simpson(u * u, step)
+    if abs(1.0 - norm) > _NORM_TOL:
+        raise GridTooSmall(f"level {n}: [r_min, r_max] holds {norm:.9g} of the probability")
     u = u / math.sqrt(norm)
-    nodes = _count_sign_changes(u[1:-1], threshold_frac=1e-12)
+    # sign changes among the interior values above 1e-12 of the peak
+    inner = u[1:-1][np.abs(u[1:-1]) > 1e-12 * np.max(np.abs(u))]
+    nodes = int(np.sum(inner[:-1] * inner[1:] < 0.0))
+    if nodes != n - 1:
+        raise GridTooSmall(f"level {n}: the table shows {nodes} node(s), not {n - 1}")
     return BoundState(
         level=n,
-        energy=Quantity(e_star, 1),
+        energy=Quantity(float(energies[n - 1]), 1),
         nodes=nodes,
         radii=r,
         u=u,
-        rms_radius=Quantity(_rms_value(r, u, h), -1),
+        rms_radius=Quantity(_rms_value(r, u, step), -1),
     )
-
-
-def _bracket_floor(v_min: float, v_max: float, alpha: float, mu: float) -> float:
-    """Lower end of the eigenvalue bracket.
-
-    The grid minimum of V_eff diverges with the Coulomb core as r_min shrinks,
-    and at trial energies that deep the Numerov factors 1 - T turn negative
-    across the whole grid, flooding the sweep with spurious sign flips.  The
-    spectrum is rigorously bounded below by -mu*alpha^2/2 (dropping the
-    non-negative linear and centrifugal terms leaves a pure Coulomb problem),
-    so the bracket starts there, with margin; the raw grid minimum is kept as
-    a fallback for degenerate windows.
-    """
-    bound = -0.6 * mu * alpha * alpha - 1.0
-    floor = max(v_min, bound)
-    if floor >= v_max:
-        return v_min
-    return floor
-
-
-def _turning_point_index(veff: np.ndarray, energy: float, n_pts: int) -> int:
-    allowed = np.nonzero(veff <= energy)[0]
-    if len(allowed) == 0:
-        idx = n_pts // 2
-    else:
-        idx = int(allowed[-1])
-    return max(2, min(idx, n_pts - 3))
 
 
 def _rms_value(r: np.ndarray, u: np.ndarray, h: float) -> float:
@@ -417,7 +262,7 @@ def virial_check(state: BoundState, p: RadialProblem) -> float:
     h = float(r[1] - r[0])
     u2 = state.u**2
     norm = composite_simpson(u2, h)
-    if abs(norm - 1.0) > 1e-6:
+    if abs(norm - 1.0) > _NORM_TOL:
         raise DomainError(f"state is not normalized (Int u^2 dr = {norm:.6g})")
     alpha = p.potential.alpha.value
     sigma = p.potential.sigma.value
@@ -471,14 +316,19 @@ def confinement_ratio(
 
 
 def bound_state_sidecar(state: BoundState, p: RadialProblem) -> dict:
-    """Sidecar metadata for a CSV export."""
+    """The solved state and its problem, keyed and ordered as the CLI prints them."""
     return {
         "n": state.level,
         "E": state.energy.value,
         "nodes": state.nodes,
         "rms_radius": state.rms_radius.value,
         "grid_points": p.grid_points,
-        "tolerances": {"bracket_rel": BRACKET_REL_TOL, "refine_rel": REFINE_REL_TOL},
+        "alpha": p.potential.alpha.value,
+        "sigma": p.potential.sigma.value,
+        "mu": p.reduced_mass.value,
+        "ell": p.angular_momentum,
+        "r_min": p.r_min.value,
+        "r_max": p.r_max.value,
     }
 
 

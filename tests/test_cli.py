@@ -8,6 +8,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from comptonqcd.cli import main, schema_path
+from comptonqcd.spectrum import cover_extent
 
 
 def run_cli(capsys, *argv):
@@ -257,6 +258,40 @@ def test_spectrum_csv_with_sidecar(capsys, tmp_path):
     sidecar = json.loads((tmp_path / "wave.csv.json").read_text(encoding="utf-8"))
     validate("spectrum", sidecar)
     assert sidecar["nodes"] == 1
+
+
+def test_spectrum_returns_the_requested_level(capsys):
+    # a default r_max of 40 n Bohr radii once made this request return the
+    # ground state (E = 2.126, 0 nodes) in place of level 5
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--alpha", "0.5364", "--sigma", "1.49", "--mu", "0.8478",
+        "--n", "5", "--ell", "1", "--grid-points", "4001",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    validate("spectrum", payload)
+    assert payload["nodes"] == 4
+    assert abs(payload["E"] - 9.1053412580) <= 1e-9
+    assert payload["r_max"] == cover_extent(0.5364, 1.49, 0.8478, 5, 1)
+
+
+def test_spectrum_prints_the_sidecar_keys(capsys):
+    keys = ["n", "E", "nodes", "rms_radius", "grid_points",
+            "alpha", "sigma", "mu", "ell", "r_min", "r_max"]
+    _, out, _ = run_cli(capsys, "spectrum", "--grid-points", "4001")
+    assert list(json.loads(out)) == keys
+    _, out, _ = run_cli(capsys, "spectrum", "--grid-points", "4001", "--format", "table")
+    assert [line.split()[0] for line in out.splitlines()[1:]] == keys
+
+
+def test_spectrum_out_of_range_input_is_computation_error(capsys):
+    # mu <= 0 once ended in a traceback; a huge level must fail before any mesh is built
+    for flag, value, word in (("--mu", "0", "mass"), ("--mu", "-1", "mass"),
+                              ("--n", "1000000", "level")):
+        code, out, err = run_cli(capsys, "spectrum", "--sigma", "1", flag, value)
+        assert code == 1
+        assert out == ""
+        assert word in err
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):

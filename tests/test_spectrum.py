@@ -2,7 +2,7 @@
 pure linear potential, scaling laws, node counts, and the virial identity.
 
 The Airy oracle below evaluates Ai(x) from its Maclaurin series and root-finds
-the first zero by bisection; it never touches the Numerov path it checks.
+the first zero by bisection; it never touches the mesh solver it checks.
 """
 
 import json
@@ -11,7 +11,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from comptonqcd import spectrum
 from comptonqcd.errors import DomainError, GridTooSmall, NoBoundState
 from comptonqcd.natunits import Quantity
 from comptonqcd.potential import CornellPotential
@@ -21,8 +23,9 @@ from comptonqcd.spectrum import (
     bound_state_sidecar,
     confinement_ratio,
     confinement_report,
+    cover_extent,
     make_default_problem,
-    numerov_integrate,
+    R_MIN_FACTOR,
     rms_radius,
     solve_bound_state,
     virial_check,
@@ -105,45 +108,6 @@ def linear_ground():
     return prob, solve_bound_state(prob, 1)
 
 
-# --- numerov_integrate --------------------------------------------------------
-
-
-def test_energy_below_spectrum_has_no_nodes():
-    prob = hydrogen_problem(n_pts=4001)
-    _, nodes = numerov_integrate(prob, Quantity(-5.0, 1))
-    assert nodes == 0
-
-
-def test_energy_between_first_levels_has_one_node():
-    prob = hydrogen_problem(r_max=20.0, n_pts=4001)
-    _, nodes = numerov_integrate(prob, Quantity(-0.2, 1))
-    assert nodes == 1
-
-
-def test_numerov_rejects_bad_energy():
-    prob = hydrogen_problem(n_pts=4001)
-    with pytest.raises(DomainError):
-        numerov_integrate(prob, float("nan"))
-    with pytest.raises(DomainError):
-        numerov_integrate(prob, Quantity(1.0, 0))
-
-
-def test_grid_doubling_changes_wavefunction_below_tolerance():
-    coarse = linear_problem(r_max=6.0, n_pts=2001)
-    fine = linear_problem(r_max=6.0, n_pts=4001)
-    energy = solve_bound_state(coarse, 1).energy
-    h_c = (6.0 - 1e-7) / 2000
-    h_f = (6.0 - 1e-7) / 4000
-    u_c, _ = numerov_integrate(coarse, energy)
-    u_f, _ = numerov_integrate(fine, energy)
-    from comptonqcd.quadrature import composite_simpson
-
-    u_c = u_c / math.sqrt(composite_simpson(u_c * u_c, h_c))
-    u_f = u_f / math.sqrt(composite_simpson(u_f * u_f, h_f))
-    shared = u_f[::2]
-    assert np.max(np.abs(shared - u_c)) <= 1e-6
-
-
 # --- solve_bound_state oracles -------------------------------------------------
 
 
@@ -172,14 +136,17 @@ def test_hydrogen_with_angular_momentum():
 
 
 def test_wavefunction_normalized_and_pinned(hydrogen_ground):
+    # the mesh has no wall at r_min: u follows 2r e^(-r) from r = 1e-8 out to
+    # r_max = 30, beyond the mesh's last point at 17, where u is below 2e-6
     prob, state = hydrogen_ground
     from comptonqcd.quadrature import composite_simpson
 
-    h = state.radii[1] - state.radii[0]
+    r = state.radii
+    h = r[1] - r[0]
     assert abs(composite_simpson(state.u**2, h) - 1.0) <= 1e-8
-    peak = np.max(np.abs(state.u))
-    assert abs(state.u[0]) <= 1e-12 * peak
-    assert abs(state.u[-1]) <= 1e-6 * peak
+    error = np.abs(state.u - 2.0 * r * np.exp(-r))
+    assert np.max(error[r <= 5.0]) <= 1e-8
+    assert np.max(error) <= 3e-7
 
 
 def test_no_bound_state_when_potential_vanishes():
@@ -191,8 +158,9 @@ def test_no_bound_state_when_potential_vanishes():
 
 def test_grid_too_small_for_high_coulomb_level():
     prob = hydrogen_problem(r_max=40.0, n_pts=8001)
-    with pytest.raises(GridTooSmall):
-        solve_bound_state(prob, 5)  # E_5 = -0.02 lies above V(r_max) = -0.025
+    # <r> = 37.5 for n = 5, so much more than 1e-6 of the probability lies beyond r_max = 40
+    with pytest.raises(GridTooSmall, match="probability"):
+        solve_bound_state(prob, 5)
 
 
 def test_level_must_be_positive():
@@ -228,19 +196,103 @@ def test_coulomb_scaling_law():
         assert abs(state.energy.value - exact) <= 1e-5 * abs(exact)
 
 
-def test_grid_halving_self_convergence_linear():
-    coarse = solve_bound_state(linear_problem(n_pts=10001), 1).energy.value
-    fine = solve_bound_state(linear_problem(n_pts=20001), 1).energy.value
-    assert abs(fine - coarse) <= 1e-8 * abs(coarse)
+def _mesh_self_convergence(prob, n, monkeypatch):
+    coarse = solve_bound_state(prob, n).energy.value
+    base = spectrum._mesh_size
+    monkeypatch.setattr(spectrum, "_mesh_size", lambda level: base(level) + 20)
+    fine = solve_bound_state(prob, n).energy.value
+    return abs(fine - coarse) / abs(coarse)
 
 
-def test_grid_halving_self_convergence_coulomb():
-    # the fixed-step start through the Coulomb core limits self-convergence
-    # to second order, so the achievable bound here is looser than for the
-    # smooth linear potential
-    coarse = solve_bound_state(hydrogen_problem(n_pts=20001), 1).energy.value
-    fine = solve_bound_state(hydrogen_problem(n_pts=40001), 1).energy.value
-    assert abs(fine - coarse) <= 1.5e-6 * abs(coarse)
+def test_mesh_size_self_convergence_linear(monkeypatch):
+    assert _mesh_self_convergence(linear_problem(), 1, monkeypatch) <= 1e-10
+
+
+def test_mesh_size_self_convergence_coulomb(monkeypatch):
+    assert _mesh_self_convergence(hydrogen_problem(), 1, monkeypatch) <= 1e-10
+
+
+# --- cover rule and postconditions ---------------------------------------------
+
+
+def test_cover_extent_closed_forms():
+    # hydrogen n = 1: turning point 2, decay length 1
+    assert cover_extent(1.0, 0.0, 1.0, 1, 0) == 17.0
+    # (n + ell) scales both lengths, 1 / (mu alpha) sets the unit
+    assert cover_extent(2.0, 0.0, 0.5, 2, 1) == pytest.approx(2 * 9 + 15 * 3)
+    # linear: WKB turning point E / sigma plus 15 (2 mu sigma)^(-1/3)
+    wkb = (1.5 * math.pi * 0.75) ** (2.0 / 3.0)
+    assert cover_extent(0.0, 1.0, 0.5, 1, 0) == pytest.approx(wkb + 15.0)
+    assert cover_extent(1.0, 1.0, 0.5, 1, 0) == cover_extent(0.0, 1.0, 0.5, 1, 0)
+
+
+def test_cover_extent_rejects_bad_input():
+    with pytest.raises(NoBoundState):
+        cover_extent(0.0, 0.0, 1.0, 1, 0)
+    for args in ((1.0, 0.0, 0.0, 1, 0), (1.0, 1.0, -1.0, 1, 0), (1.0, 0.0, 1.0, 0, 0),
+                 (1.0, 0.0, 1.0, 51, 0), (1.0, 0.0, 1.0, 1, -1)):
+        with pytest.raises(DomainError):
+            cover_extent(*args)
+
+
+def test_too_small_mesh_is_caught_by_the_node_count(monkeypatch):
+    # with 40 mesh points this level shows spurious far-tail sign changes
+    args = (1.28, 1.51, 1.63, 5, 2)
+    extent = cover_extent(*args)
+    prob = RadialProblem(
+        CornellPotential(Quantity(1.28, 0), Quantity(1.51, 2)), Quantity(1.63, 1),
+        Quantity(1e-6, -1), Quantity(extent, -1), 2, 4001,
+    )
+    assert solve_bound_state(prob, 5).nodes == 4
+    monkeypatch.setattr(spectrum, "_mesh_size", lambda level: 40)
+    with pytest.raises(GridTooSmall, match="node"):
+        solve_bound_state(prob, 5)
+
+
+# --- properties over random Cornell problems -------------------------------------
+
+# zeros of Ai(-x), a_1 .. a_7
+AIRY_ZEROS = (
+    2.338107410459767, 4.087949444130971, 5.520559828095551, 6.786708090071759,
+    7.944133587120853, 9.022650853340981, 10.04017434155809,
+)
+
+
+def energy_bounds(alpha, sigma, mu, n, ell):
+    """Dropping sigma r bounds E below; a Coulomb term and ell only lower
+    the linear level n + ell, so its Airy energy bounds E above."""
+    coulomb = -mu * alpha * alpha / (2.0 * (n + ell) ** 2)
+    linear = (sigma * sigma / (2.0 * mu)) ** (1.0 / 3.0)
+    if sigma == 0.0:
+        return coulomb, coulomb
+    if alpha == 0.0:
+        return linear * AIRY_ZEROS[n - 1], linear * AIRY_ZEROS[n + ell - 1]
+    return coulomb, linear * AIRY_ZEROS[n + ell - 1]
+
+
+COUPLING = st.one_of(st.just(0.0), st.floats(0.1, 2.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(alpha=COUPLING, sigma=COUPLING, mu=st.floats(0.2, 2.0), ell=st.integers(0, 2))
+def test_random_cornell_levels(alpha, sigma, mu, ell):
+    assume(alpha > 0.0 or sigma > 0.0)
+    pot = CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2))
+    energies = []
+    for n in range(1, 6):
+        extent = cover_extent(alpha, sigma, mu, n, ell)
+        prob = RadialProblem(
+            pot, Quantity(mu, 1), Quantity(R_MIN_FACTOR * extent, -1), Quantity(extent, -1),
+            ell, 4001,
+        )
+        state = solve_bound_state(prob, n)
+        assert state.nodes == n - 1
+        energy = state.energy.value
+        lower, upper = energy_bounds(alpha, sigma, mu, n, ell)
+        assert lower - 1e-9 * abs(lower) <= energy <= upper + 1e-9 * abs(upper)
+        assert virial_check(state, prob) <= 1e-4
+        energies.append(energy)
+    assert all(b > a for a, b in zip(energies, energies[1:]))
 
 
 # --- derived observables --------------------------------------------------------
@@ -353,4 +405,8 @@ def test_bound_state_export_round_trip(tmp_path, linear_ground):
     sidecar = json.loads((tmp_path / "state.csv.json").read_text(encoding="utf-8"))
     assert sidecar == bound_state_sidecar(state, prob)
     assert sidecar["n"] == 1 and sidecar["nodes"] == 0
-    assert sidecar["tolerances"]["bracket_rel"] == 1e-10
+    assert list(sidecar) == [
+        "n", "E", "nodes", "rms_radius", "grid_points",
+        "alpha", "sigma", "mu", "ell", "r_min", "r_max",
+    ]
+    assert sidecar["sigma"] == 1.0 and sidecar["r_max"] == 14.0

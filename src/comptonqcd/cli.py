@@ -16,22 +16,29 @@ JSON form of every subcommand validates against the schema files shipped in
 
 Settings resolve in precedence order: explicit flag, then the COMPTONQCD_E2
 environment variable (for the coupling mode), then the optional JSON config
-file (``--config``), then built-in defaults.  Unknown config keys are usage
-errors.  Exit codes: 0 success, 1 computation error, 2 usage error.
+file (``--config``), then built-in defaults.  The argparse definitions are the
+one settings table: config keys are the flags' destinations, and each config
+value must have its flag's type (a JSON integer for an int flag, any JSON
+number for a float flag, a string from the choices for a choice flag).
+Unknown keys and mistyped values are usage errors.  Exit codes: 0 success,
+1 computation error, 2 usage error or unwritable output file.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable, Sequence
 
 from . import estimator, potential as pot, spectrum as spec, stressfield as sf
-from .errors import ToolkitError
-from .natunits import Quantity, compton_wavelength, fine_structure_fraction
+from .errors import DomainError, ToolkitError
+from .natunits import Quantity, compton_wavelength, fine_structure_fraction, normalize_e2_mode
 
 __all__ = ["main", "console_main", "RunConfig", "schema_path"]
 
@@ -39,40 +46,11 @@ E2_CHOICES = ("paper-137", "precise")
 FORMAT_CHOICES = ("csv", "json", "table")
 ENV_E2 = "COMPTONQCD_E2"
 
-_DEFAULT_FORMAT = {
-    "derive": "table",
-    "charge": "table",
-    "potential": "csv",
-    "field": "csv",
-    "linearize": "table",
-    "spectrum": "json",
-    "confinement": "table",
-    "regime": "table",
-}
-
-_CONFIG_KEYS = {
-    "e2_mode",
-    "output_format",
-    "output_path",
-    "d",
-    "m_quark",
-    "l",
-    "alpha",
-    "sigma",
-    "mu",
-    "ell",
-    "n",
-    "r_start",
-    "r_stop",
-    "points",
-    "intervals",
-    "step",
-    "r_min",
-    "r_max",
-    "grid_points",
-    "delta",
-    "ratio",
-}
+# parser destinations that are not settings
+_NOT_CONFIG = {"help", "config_path"}
+# by flag type: the JSON types a config value may take, and their name
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               None: ((str,), "a string")}
 
 
 @dataclass
@@ -84,6 +62,24 @@ class RunConfig:
     output_format: str
     output_path: str | None
     options: dict
+
+
+@dataclass
+class Output:
+    """A handler's result, before any output form is built.
+
+    ``payload`` is the JSON form.  ``rows`` is the CSV header then its data
+    rows, as raw values; it may be lazy, since only the printed form reads it.
+    The table form aligns ``table_rows`` (default: ``rows``) under ``title``.
+    ``write_csv(path)``, when set, writes the CSV form to a file in place of
+    the generic writer.
+    """
+
+    payload: dict
+    rows: Iterable[Sequence]
+    table_rows: Iterable[Sequence] | None = None
+    title: str = ""
+    write_csv: Callable[[str], None] | None = None
 
 
 def fmt(x: float) -> str:
@@ -118,13 +114,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("derive", parents=[common],
-                   help="full derivation chain: fractions, slope, quark and pion masses")
+    def command(name: str, run, output_format: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(run=run, default_format=output_format)
+        return p
 
-    p = sub.add_parser("charge", parents=[common], help="charge fraction for d dimensions")
+    command("derive", _run_derive, "table",
+            "full derivation chain: fractions, slope, quark and pion masses")
+
+    p = command("charge", _run_charge, "table", "charge fraction for d dimensions")
     p.add_argument("--d", type=int, default=None, help="spatial dimension count (1, 2, or 3)")
 
-    p = sub.add_parser("potential", parents=[common], help="tabulate V(r) = -alpha/r + sigma r")
+    p = command("potential", _run_potential, "csv", "tabulate V(r) = -alpha/r + sigma r")
     p.add_argument("--m-quark", type=float, default=None, dest="m_quark",
                    help="build alpha/sigma from this quark mass (m_e units)")
     p.add_argument("--alpha", type=float, default=None, help="Coulomb strength override")
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-stop", type=float, default=None, dest="r_stop")
     p.add_argument("--points", type=int, default=None)
 
-    p = sub.add_parser("field", parents=[common], help="near/far field of the default source")
+    p = command("field", _run_field, "csv", "near/far field of the default source")
     p.add_argument("--m-quark", type=float, default=None, dest="m_quark")
     p.add_argument("--d", type=int, default=None, help="dimension count for the far field")
     p.add_argument("--r-start", type=float, default=None, dest="r_start")
@@ -141,12 +142,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=None)
     p.add_argument("--intervals", type=int, default=None, help="quadrature intervals")
 
-    p = sub.add_parser("linearize", parents=[common],
-                       help="displaced-charge derivatives vs the declared confining slope")
+    p = command("linearize", _run_linearize, "table",
+                "displaced-charge derivatives vs the declared confining slope")
     p.add_argument("--l", type=float, default=None, help="separation scale (1/m_e units)")
     p.add_argument("--step", type=float, default=None, help="finite-difference step")
 
-    p = sub.add_parser("spectrum", parents=[common], help="bound states of a Cornell potential")
+    p = command("spectrum", _run_spectrum, "json", "bound states of a Cornell potential")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--mu", type=float, default=None, help="reduced mass (m_e units)")
@@ -156,11 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=float, default=None, dest="r_max")
     p.add_argument("--grid-points", type=int, default=None, dest="grid_points")
 
-    p = sub.add_parser("confinement", parents=[common],
-                       help="ground-state RMS radius over the Compton wavelength")
+    p = command("confinement", _run_confinement, "table",
+                "ground-state RMS radius over the Compton wavelength")
     p.add_argument("--grid-points", type=int, default=None, dest="grid_points")
 
-    p = sub.add_parser("regime", parents=[common], help="classify a probe scale")
+    p = command("regime", _run_regime, "table", "classify a probe scale")
     p.add_argument("--ratio", type=float, default=None,
                    help="probe scale divided by the Compton wavelength")
     p.add_argument("--delta", type=float, default=None, help="band halfwidth (default 0.5)")
@@ -168,153 +169,155 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
+def _config_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Each config key, a flag's destination in any subcommand, with that flag's action."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.dest: action
+        for subparser in subparsers.choices.values()
+        for action in subparser._actions
+        if action.dest not in _NOT_CONFIG
+    }
+
+
+def _typed(key: str, value, action: argparse.Action, parser: argparse.ArgumentParser):
+    """A config value checked against its flag's type and converted as the flag would be."""
+    if action.choices is not None:
+        if value not in action.choices:
+            parser.error(f"{key} must be one of {action.choices}, got {value!r}")
+        return value
+    kinds, name = _JSON_TYPES[action.type]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        parser.error(f"config key {key!r} must be {name}, got {json.dumps(value)}")
+    try:
+        return value if action.type is None else action.type(value)
+    except OverflowError as exc:
+        parser.error(f"config key {key!r}: {exc}")
+
+
+def _load_config(path: str, actions: dict, parser: argparse.ArgumentParser) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and integers too long to convert
         parser.error(f"config file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         parser.error("config file must hold a JSON object")
-    unknown = sorted(set(data) - _CONFIG_KEYS)
+    unknown = sorted(set(data) - set(actions))
     if unknown:
         parser.error(f"unknown config key(s): {', '.join(unknown)}")
-    return data
-
-
-def _env_e2(parser: argparse.ArgumentParser) -> str | None:
-    raw = os.environ.get(ENV_E2)
-    if raw is None:
-        return None
-    key = raw.strip().lower()
-    if key in ("paper", "paper-137"):
-        return "paper-137"
-    if key == "precise":
-        return "precise"
-    parser.error(f"{ENV_E2} must be 'paper' or 'precise', got {raw!r}")
+    return {key: _typed(key, value, actions[key], parser) for key, value in data.items()}
 
 
 def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    file_cfg = _load_config(args.config_path, parser) if args.config_path else {}
-
-    def pick(name: str, default=None):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in file_cfg:
-            return file_cfg[name]
-        return default
-
-    e2_mode = args.e2_mode or _env_e2(parser) or file_cfg.get("e2_mode") or "paper-137"
-    if e2_mode not in E2_CHOICES:
-        parser.error(f"e2_mode must be one of {E2_CHOICES}, got {e2_mode!r}")
-    output_format = pick("output_format", _DEFAULT_FORMAT[args.command])
-    if output_format not in FORMAT_CHOICES:
-        parser.error(f"output_format must be one of {FORMAT_CHOICES}, got {output_format!r}")
-
-    options = {}
-    for key in _CONFIG_KEYS - {"e2_mode", "output_format", "output_path"}:
-        value = pick(key)
-        if value is not None:
-            options[key] = value
+    actions = _config_actions(parser)
+    settings = _load_config(args.config_path, actions, parser) if args.config_path else {}
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in actions and value is not None)
+    # flag, then environment, then config file, then the default
+    e2_mode = settings.pop("e2_mode", "paper-137")
+    raw_env = os.environ.get(ENV_E2)
+    if args.e2_mode is None and raw_env is not None:
+        try:
+            e2_mode = "paper-137" if normalize_e2_mode(raw_env) == "paper" else "precise"
+        except DomainError:
+            parser.error(f"{ENV_E2} must be 'paper' or 'precise', got {raw_env!r}")
     return RunConfig(
         command=args.command,
         e2_mode=e2_mode,
-        output_format=output_format,
-        output_path=pick("output_path"),
-        options=options,
+        output_format=settings.pop("output_format", args.default_format),
+        output_path=settings.pop("output_path", None),
+        options=settings,
     )
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns {"json": dict, "csv": rows, "table": str}
+# subcommand handlers: each returns its data as an Output; none formats a form
 
 
-def _run_derive(cfg: RunConfig) -> dict:
+def _record(payload: dict) -> list:
+    """A mapping as quantity,value rows."""
+    return [("quantity", "value"), *payload.items()]
+
+
+def _columns(records: list[dict]) -> list:
+    """Equal-keyed records as rows under a header of their keys."""
+    return [list(records[0]), *(record.values() for record in records)]
+
+
+def _run_derive(cfg: RunConfig) -> Output:
     report = estimator.derivation_report(cfg.e2_mode)
-    return {
-        "json": report,
-        "csv": estimator.render_report_csv_rows(report),
-        "table": estimator.render_report_table(report),
-    }
+    return Output(report, estimator.render_report_csv_rows(report),
+                  title=f"e2 mode: {report['e2_mode']}\n")
 
 
-def _run_charge(cfg: RunConfig) -> dict:
-    d = int(cfg.options.get("d", 3))
+def _run_charge(cfg: RunConfig) -> Output:
+    d = cfg.options.get("d", 3)
     frac = pot.charge_fraction(d)
     payload = {"d": d, "fraction": str(frac), "value_float": float(frac)}
-    rows = [["d", "fraction"], [str(d), str(frac)]]
-    return {"json": payload, "csv": rows, "table": f"{frac}\n"}
+    return Output(payload, [("d", "fraction"), (d, frac)], table_rows=[(frac,)])
 
 
-def _run_potential(cfg: RunConfig) -> dict:
-    opts = cfg.options
-    if opts.get("alpha") is not None or opts.get("sigma") is not None:
-        alpha = float(opts.get("alpha", 1.0))
-        sigma = float(opts.get("sigma", 0.0))
-        cornell = pot.CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2))
-    else:
-        m_quark = float(opts.get("m_quark", 1.0))
-        cornell = pot.cornell_from_quark_mass(Quantity(m_quark, 1))
-    r_start = float(opts.get("r_start", 0.1))
-    r_stop = float(opts.get("r_stop", 5.0))
-    points = int(opts.get("points", 50))
+def _sample_range(opts: dict, r_start: float, r_stop: float) -> list[float]:
+    """Equally spaced radii; r_start, r_stop and points in ``opts`` win over the defaults."""
+    r_start = opts.get("r_start", r_start)
+    r_stop = opts.get("r_stop", r_stop)
+    points = opts.get("points", 50)
     if points < 2 or not 0.0 < r_start < r_stop:
         raise ToolkitError("need points >= 2 and 0 < r_start < r_stop")
     step = (r_stop - r_start) / (points - 1)
-    rows = [["r", "V"]]
-    json_rows = []
-    for i in range(points):
-        r = r_start + i * step
-        v = pot.evaluate_cornell(cornell, Quantity(r, -1)).value
-        rows.append([fmt(r), fmt(v)])
-        json_rows.append({"r": r, "V": v})
-    payload = {"alpha": cornell.alpha.value, "sigma": cornell.sigma.value, "rows": json_rows}
-    return {"json": payload, "csv": rows, "table": _table_from_rows(rows)}
+    return [r_start + i * step for i in range(points)]
 
 
-def _run_field(cfg: RunConfig) -> dict:
+def _run_potential(cfg: RunConfig) -> Output:
     opts = cfg.options
-    m_quark = float(opts.get("m_quark", 1.0))
-    d = int(opts.get("d", 3))
+    if "alpha" in opts or "sigma" in opts:
+        alpha, sigma = opts.get("alpha", 1.0), opts.get("sigma", 0.0)
+        cornell = pot.CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2))
+    else:
+        cornell = pot.cornell_from_quark_mass(Quantity(opts.get("m_quark", 1.0), 1))
+    rows = [
+        {"r": r, "V": pot.evaluate_cornell(cornell, Quantity(r, -1)).value}
+        for r in _sample_range(opts, 0.1, 5.0)
+    ]
+    payload = {"alpha": cornell.alpha.value, "sigma": cornell.sigma.value, "rows": rows}
+    return Output(payload, _columns(rows))
+
+
+def _run_field(cfg: RunConfig) -> Output:
+    opts = cfg.options
+    m_quark = opts.get("m_quark", 1.0)
+    d = opts.get("d", 3)
     m = Quantity(m_quark, 1)
     src = sf.default_source(m)
     lam = compton_wavelength(m)
-    r_start = float(opts.get("r_start", 0.1 * lam.value))
-    r_stop = float(opts.get("r_stop", 10.0 * lam.value))
-    points = int(opts.get("points", 50))
-    intervals = int(opts.get("intervals", sf.DEFAULT_INTERVALS))
-    if points < 2 or not 0.0 < r_start < r_stop:
-        raise ToolkitError("need points >= 2 and 0 < r_start < r_stop")
+    intervals = opts.get("intervals", sf.DEFAULT_INTERVALS)
+    radii = _sample_range(opts, 0.1 * lam.value, 10.0 * lam.value)
     e2 = fine_structure_fraction(cfg.e2_mode)
-    step = (r_stop - r_start) / (points - 1)
-    rows = [["r", "near", "far"]]
-    json_rows = []
-    for i in range(points):
-        r = r_start + i * step
+    rows = []
+    for r in radii:
         rq = Quantity(r, -1)
         near = sf.near_field_potential(src, m, rq, intervals=intervals).value
         far = None
         if r > lam.value:
             far = sf.far_field_coupling(src, m, d, rq, e_squared=e2).value
-        rows.append([fmt(r), fmt(near), "" if far is None else fmt(far)])
-        json_rows.append({"r": r, "near": near, "far": far})
+        rows.append({"r": r, "near": near, "far": far})
     payload = {
         "m_quark": m_quark,
         "d": d,
         "support_radius": src.support_radius.value,
         "total_energy": src.total_energy.value,
-        "rows": json_rows,
+        "rows": rows,
     }
-    return {"json": payload, "csv": rows, "table": _table_from_rows(rows)}
+    return Output(payload, _columns(rows))
 
 
-def _run_linearize(cfg: RunConfig) -> dict:
+def _run_linearize(cfg: RunConfig) -> Output:
     opts = cfg.options
-    l_value = float(opts.get("l", 1.0))
-    step = float(opts.get("step", 1e-4))
+    l_value = opts.get("l", 1.0)
+    step = opts.get("step", 1e-4)
     if step <= 0.0 or step >= 0.5:
         raise ToolkitError("finite-difference step must lie in (0, 0.5)")
     e2 = fine_structure_fraction(cfg.e2_mode)
@@ -344,8 +347,7 @@ def _run_linearize(cfg: RunConfig) -> dict:
     pair_slope = abs(pair_energy(step) - pair_energy(-step)) / (2.0 * step) / l_value
     declared = pot.confinement_slope(sep, e_squared=e2)
     declared_exact = e2 / 9 / Fraction(l_value) ** 2
-    payload = {
-        "e2_mode": cfg.e2_mode,
+    values = {
         "l": l_value,
         "displacement_step": step,
         "axial_first_derivative": first,
@@ -356,20 +358,16 @@ def _run_linearize(cfg: RunConfig) -> dict:
         "declared_slope_exact": estimator.format_exact(declared_exact),
         "pair_to_declared_ratio": pair_slope / declared.value,
     }
-    rows = [["quantity", "value"]]
-    for key in list(payload)[1:]:
-        value = payload[key]
-        rows.append([key, value if isinstance(value, str) else fmt(value)])
-    return {"json": payload, "csv": rows, "table": _table_from_rows(rows)}
+    return Output({"e2_mode": cfg.e2_mode, **values}, _record(values))
 
 
-def _run_spectrum(cfg: RunConfig) -> dict:
+def _run_spectrum(cfg: RunConfig) -> Output:
     opts = cfg.options
-    alpha = float(opts.get("alpha", 1.0))
-    sigma = float(opts.get("sigma", 0.0))
-    mu = float(opts.get("mu", 1.0))
-    ell = int(opts.get("ell", 0))
-    n = int(opts.get("n", 1))
+    alpha = opts.get("alpha", 1.0)
+    sigma = opts.get("sigma", 0.0)
+    mu = opts.get("mu", 1.0)
+    ell = opts.get("ell", 0)
+    n = opts.get("n", 1)
     cornell = pot.CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2))
     # also rejects mu <= 0, n < 1 and ell < 0 before the scales below divide by them
     extent = spec.cover_extent(alpha, sigma, mu, n, ell)
@@ -380,81 +378,57 @@ def _run_spectrum(cfg: RunConfig) -> dict:
         scale = max(scale, (2.0 * mu * sigma) ** (-1.0 / 3.0))
     if scale == 0.0:
         scale = 1.0
-    r_min = float(opts.get("r_min", spec.R_MIN_FACTOR * scale))
-    r_max = float(opts.get("r_max", extent))
-    grid_points = int(opts.get("grid_points", spec.DEFAULT_GRID_POINTS))
+    r_min = opts.get("r_min", spec.R_MIN_FACTOR * scale)
+    r_max = opts.get("r_max", extent)
+    grid_points = opts.get("grid_points", spec.DEFAULT_GRID_POINTS)
     problem = spec.RadialProblem(
         cornell, Quantity(mu, 1), Quantity(r_min, -1), Quantity(r_max, -1), ell, grid_points
     )
     state = spec.solve_bound_state(problem, n)
     payload = spec.bound_state_sidecar(state, problem)
-    rows = [["r", "u"]]
-    for rv, uv in zip(state.radii, state.u):
-        rows.append([fmt(rv), fmt(uv)])
-    table_rows = [["quantity", "value"]] + [
-        [key, fmt(val) if isinstance(val, float) else str(val)] for key, val in payload.items()
-    ]
-    return {
-        "json": payload,
-        "csv": rows,
-        "table": _table_from_rows(table_rows),
-        "sidecar": payload,
-    }
+    return Output(
+        payload,
+        itertools.chain([("r", "u")], zip(state.radii, state.u)),
+        table_rows=_record(payload),
+        write_csv=functools.partial(spec.write_bound_state_csv, state, problem),
+    )
 
 
-def _run_confinement(cfg: RunConfig) -> dict:
-    grid_points = int(cfg.options.get("grid_points", spec.DEFAULT_GRID_POINTS))
+def _run_confinement(cfg: RunConfig) -> Output:
+    grid_points = cfg.options.get("grid_points", spec.DEFAULT_GRID_POINTS)
     report = spec.confinement_report(e2_mode=cfg.e2_mode, grid_points=grid_points)
-    rows = [["quantity", "value"]]
-    for key, val in report.items():
-        rows.append([key, val if isinstance(val, str) else (fmt(val) if isinstance(val, float) else str(val))])
-    return {"json": report, "csv": rows, "table": _table_from_rows(rows)}
+    return Output(report, _record(report))
 
 
-def _run_regime(cfg: RunConfig) -> dict:
-    opts = cfg.options
-    ratio = float(opts.get("ratio", 1.0))
-    delta = float(opts.get("delta", 0.5))
-    regime = estimator.classify_regime(ratio, delta)
-    payload = {"scale_over_compton": ratio, "delta": delta, "regime": regime.value}
-    rows = [["scale_over_compton", "delta", "regime"], [fmt(ratio), fmt(delta), regime.value]]
-    return {"json": payload, "csv": rows, "table": f"{regime.value}\n"}
-
-
-_HANDLERS = {
-    "derive": _run_derive,
-    "charge": _run_charge,
-    "potential": _run_potential,
-    "field": _run_field,
-    "linearize": _run_linearize,
-    "spectrum": _run_spectrum,
-    "confinement": _run_confinement,
-    "regime": _run_regime,
-}
+def _run_regime(cfg: RunConfig) -> Output:
+    ratio = cfg.options.get("ratio", 1.0)
+    delta = cfg.options.get("delta", 0.5)
+    regime = estimator.classify_regime(ratio, delta).value
+    payload = {"scale_over_compton": ratio, "delta": delta, "regime": regime}
+    return Output(payload, [list(payload), list(payload.values())], table_rows=[(regime,)])
 
 
 # ---------------------------------------------------------------------------
 # rendering and entry points
 
 
-def _table_from_rows(rows: list[list[str]]) -> str:
-    widths = [max(len(str(row[i])) for row in rows) for i in range(len(rows[0]))]
-    lines = [
-        "  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows
-    ]
-    return "\n".join(lines) + "\n"
+def _cell(value) -> str:
+    """One CSV or table cell: floats to 10 significant digits, None blank."""
+    if isinstance(value, float):
+        return fmt(value)
+    return "" if value is None else str(value)
 
 
-def _render_csv(rows: list[list[str]]) -> str:
-    return "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
-
-
-def _render(result: dict, output_format: str) -> str:
+def _render(out: Output, output_format: str) -> str:
+    """Build the one requested form of a handler's result."""
     if output_format == "json":
-        return json.dumps(result["json"], indent=2) + "\n"
+        return json.dumps(out.payload, indent=2) + "\n"
     if output_format == "csv":
-        return _render_csv(result["csv"])
-    return result["table"]
+        return "".join(",".join(map(_cell, row)) + "\n" for row in out.rows)
+    rows = [[_cell(value) for value in row] for row in (out.table_rows or out.rows)]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
+    return out.title + "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -463,19 +437,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     cfg = resolve_config(args, parser)
     try:
-        result = _HANDLERS[cfg.command](cfg)
-        text = _render(result, cfg.output_format)
+        out = args.run(cfg)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        if cfg.command == "spectrum" and cfg.output_format == "csv" and "sidecar" in result:
-            with open(cfg.output_path + ".json", "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(json.dumps(result["sidecar"], indent=2) + "\n")
-    else:
-        sys.stdout.write(text)
+    if not cfg.output_path:
+        sys.stdout.write(_render(out, cfg.output_format))
+        return 0
+    try:
+        if cfg.output_format == "csv" and out.write_csv is not None:
+            out.write_csv(cfg.output_path)
+        else:
+            with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(_render(out, cfg.output_format))
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

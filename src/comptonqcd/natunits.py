@@ -14,6 +14,7 @@ sensitivity checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,9 +61,13 @@ class Quantity:
     dim: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.value, bool) or not isinstance(self.value, (int, float)):
-            raise InvalidQuantity(f"value must be a real number, got {self.value!r}")
-        val = float(self.value)
+        value = self.value
+        # the tuple test is a fast path; numbers.Real also admits numpy scalars
+        if isinstance(value, bool) or not (
+            isinstance(value, (int, float)) or isinstance(value, numbers.Real)
+        ):
+            raise InvalidQuantity(f"value must be a real number, got {value!r}")
+        val = float(value)
         if not math.isfinite(val):
             raise InvalidQuantity(f"value must be finite, got {val!r}")
         if isinstance(self.dim, bool) or not isinstance(self.dim, int):

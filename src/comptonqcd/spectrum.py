@@ -121,8 +121,10 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
 
     With a linear term (sigma > 0) the turning point is E/sigma at the WKB
     energy E = (sigma^2/2mu)^(1/3) (3pi/2 (n + ell/2 - 1/4))^(2/3) and the
-    decay length is (2 mu sigma)^(-1/3).  For pure Coulomb the turning point
-    is 2(n+ell)^2/(mu alpha) and the decay length (n+ell)/(mu alpha).
+    decay length is (2 mu sigma)^(-1/3).  With a Coulomb term (alpha > 0) the
+    turning point is 2(n+ell)^2/(mu alpha) and the decay length
+    (n+ell)/(mu alpha).  Either term added to the other only deepens the
+    well, so with both present the smaller of the two covers is taken.
     """
     if not 1 <= n <= _MAX_LEVEL:
         raise DomainError(f"level must be an integer from 1 to {_MAX_LEVEL}, got {n}")
@@ -130,14 +132,17 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
         raise DomainError("angular momentum must be non-negative")
     if not mu > 0.0:
         raise DomainError("reduced mass must be positive")
+    covers = []
     if sigma > 0.0:
         wkb = (1.5 * math.pi * (n + 0.5 * ell - 0.25)) ** (2.0 / 3.0)
         energy = (sigma * sigma / (2.0 * mu)) ** (1.0 / 3.0) * wkb
-        return energy / sigma + _DECAY_LENGTHS * (2.0 * mu * sigma) ** (-1.0 / 3.0)
+        covers.append(energy / sigma + _DECAY_LENGTHS * (2.0 * mu * sigma) ** (-1.0 / 3.0))
     if alpha > 0.0:
         k = n + ell
-        return (2.0 * k * k + _DECAY_LENGTHS * k) / (mu * alpha)
-    raise NoBoundState("potential is identically zero")
+        covers.append((2.0 * k * k + _DECAY_LENGTHS * k) / (mu * alpha))
+    if not covers:
+        raise NoBoundState("potential is identically zero")
+    return min(covers)
 
 
 def _mesh_size(n: int) -> int:
@@ -253,10 +258,12 @@ def rms_radius(state: BoundState) -> Quantity:
 
 
 def virial_check(state: BoundState, p: RadialProblem) -> float:
-    """Residual |2<T> - <r dV/dr>| / |E| for a solved state.
+    """Residual |2<T> - <r dV/dr>| / <r dV/dr> for a solved state.
 
     For the Cornell form r dV/dr = alpha/r + sigma*r, and <T> = E - <V>.
-    The state must be normalized; unnormalized input is rejected.
+    With alpha, sigma >= 0, not both zero, <r dV/dr> is positive, so the
+    residual stays meaningful where E passes through zero.  The state must be
+    normalized; unnormalized input is rejected.
     """
     r = state.radii
     h = float(r[1] - r[0])
@@ -272,7 +279,7 @@ def virial_check(state: BoundState, p: RadialProblem) -> float:
     # <T> = E - <V> keeps any centrifugal part on the kinetic side, as the
     # virial relation requires
     kinetic = energy - mean_v
-    return abs(2.0 * kinetic - mean_rdv) / max(abs(energy), 1e-300)
+    return abs(2.0 * kinetic - mean_rdv) / mean_rdv
 
 
 def confinement_report(

@@ -154,6 +154,62 @@ def test_malformed_config_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, config", [
+    ("potential", {"points": "abc"}),  # once a ValueError traceback
+    ("potential", {"points": 2.7}),  # once truncated to 2
+    ("potential", {"points": 50.0}),  # as --points 50.0 is
+    ("charge", {"d": 2.9}),  # once truncated to 2
+    ("charge", {"d": True}),  # once d = 1
+    ("regime", {"ratio": "1.0"}),
+    ("derive", {"e2_mode": 1}),
+])
+def test_mistyped_config_value_is_usage_error(capsys, tmp_path, command, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert next(iter(config)) in err.splitlines()[-1]
+
+
+def test_config_output_path_must_be_a_string(tmp_path):
+    # once opened as file descriptor 7; a subprocess keeps a regression away
+    # from this process's descriptors
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"output_path": 7}), encoding="utf-8")
+    done = subprocess.run([sys.executable, "-m", "comptonqcd", "charge", "--config", str(cfg)],
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "error:" in done.stderr and "output_path" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_config_numbers_take_their_flags_types(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"alpha": 1, "r_start": 0.0125, "points": 50}), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "potential", "--sigma", "2", "--format", "json",
+                           "--config", str(cfg))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["alpha"] == 1.0 and '"alpha": 1.0,' in out
+    assert len(payload["rows"]) == 50 and payload["rows"][0]["r"] == 0.0125
+
+
+def test_undecodable_config_is_usage_error(capsys, tmp_path):
+    # both once escaped as a UnicodeDecodeError or ValueError traceback
+    cfg = tmp_path / "run.json"
+    for data in ('{"e2_mode": "pr\xe9cise"}'.encode("latin-1"),
+                 b'{"points": ' + b"9" * 5000 + b"}"):
+        cfg.write_bytes(data)
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "config file is not valid JSON" in capsys.readouterr().err
+
+
 # --- usage errors -----------------------------------------------------------------
 
 
@@ -299,6 +355,16 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     out_path = tmp_path / "derive.csv"
     run_cli(capsys, "derive", "--format", "csv", "-o", str(out_path))
     assert out_path.read_text(encoding="utf-8") == stdout_text
+
+
+def test_unwritable_output_path_is_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing"
+    for argv in (["charge"], ["spectrum", "--grid-points", "1000", "--format", "csv"]):
+        code, out, err = run_cli(capsys, *argv, "-o", str(missing / "out.txt"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write output:") and err.count("\n") == 1
+    assert not missing.exists()
 
 
 # --- confinement / regime -------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -42,6 +43,15 @@ def test_make_quantity_rejects_nan_and_inf():
         make_quantity(float("nan"), 0)
     with pytest.raises(InvalidQuantity):
         make_quantity(float("inf"), 2)
+
+
+def test_quantity_accepts_numpy_real_scalars_but_not_bools():
+    for value in (np.int64(3), np.int32(3), np.float64(3.0)):
+        q = Quantity(value, 1)
+        assert q.value == 3.0 and type(q.value) is float
+    for value in (True, np.bool_(True), "3", None):
+        with pytest.raises(InvalidQuantity):
+            Quantity(value, 1)
 
 
 def test_make_quantity_rejects_fractional_dim():

@@ -226,6 +226,23 @@ def test_cover_extent_closed_forms():
     assert cover_extent(1.0, 1.0, 0.5, 1, 0) == cover_extent(0.0, 1.0, 0.5, 1, 0)
 
 
+def test_cover_extent_takes_the_smaller_cover():
+    # a tiny linear term once switched to the linear rule: extent 1375 for a
+    # state of size ~5, and GridTooSmall in place of the level
+    assert cover_extent(1.0, 1e-6, 1.0, 3, 0) == cover_extent(1.0, 0.0, 1.0, 3, 0)
+    pot = CornellPotential(Quantity(1.0, 0), Quantity(1e-6, 2))
+    for n in (1, 3):
+        extent = cover_extent(1.0, 1e-6, 1.0, n, 0)
+        prob = RadialProblem(
+            pot, Quantity(1.0, 1), Quantity(R_MIN_FACTOR * extent, -1), Quantity(extent, -1),
+            0, 4001,
+        )
+        state = solve_bound_state(prob, n)
+        assert state.nodes == n - 1
+        # first order in sigma: E = -1/(2 n^2) + sigma <r>, <r> = 3 n^2 / 2
+        assert abs(state.energy.value - (-0.5 / n**2 + 1.5e-6 * n**2)) <= 1e-8
+
+
 def test_cover_extent_rejects_bad_input():
     with pytest.raises(NoBoundState):
         cover_extent(0.0, 0.0, 1.0, 1, 0)
@@ -321,6 +338,16 @@ def test_virial_residuals(hydrogen_ground, linear_ground):
     prob_l, state_l = linear_ground
     assert virial_check(state_h, prob_h) <= 1e-4
     assert virial_check(state_l, prob_l) <= 1e-4
+
+
+def test_virial_residual_is_finite_where_the_energy_vanishes():
+    # this sigma puts the ground-state energy at ~1e-14; dividing by |E|
+    # once reported a residual of order 1e4 for a correct state
+    pot = CornellPotential(Quantity(1.0, 0), Quantity(0.4077484124895122, 2))
+    prob = RadialProblem(pot, Quantity(1.0, 1), Quantity(1e-6, -1), Quantity(20.0, -1), 0, 4001)
+    state = solve_bound_state(prob, 1)
+    assert abs(state.energy.value) <= 1e-12
+    assert virial_check(state, prob) <= 1e-4
 
 
 def test_virial_rejects_unnormalized_state(hydrogen_ground):

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import estimator, potential as pot, spectrum as spec, stressfield as sf
 from .errors import DomainError, ToolkitError
-from .natunits import Quantity, compton_wavelength, fine_structure_fraction, normalize_e2_mode
+from .natunits import Quantity, compton_wavelength, e2_mode_label, fine_structure_fraction
 
 __all__ = ["main", "console_main", "RunConfig", "schema_path"]
 
@@ -140,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-start", type=float, default=None, dest="r_start")
     p.add_argument("--r-stop", type=float, default=None, dest="r_stop")
     p.add_argument("--points", type=int, default=None)
-    p.add_argument("--intervals", type=int, default=None, help="quadrature intervals")
 
     p = command("linearize", _run_linearize, "table",
                 "displaced-charge derivatives vs the declared confining slope")
@@ -221,7 +220,7 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     raw_env = os.environ.get(ENV_E2)
     if args.e2_mode is None and raw_env is not None:
         try:
-            e2_mode = "paper-137" if normalize_e2_mode(raw_env) == "paper" else "precise"
+            e2_mode = e2_mode_label(raw_env)
         except DomainError:
             parser.error(f"{ENV_E2} must be 'paper' or 'precise', got {raw_env!r}")
     return RunConfig(
@@ -293,13 +292,12 @@ def _run_field(cfg: RunConfig) -> Output:
     m = Quantity(m_quark, 1)
     src = sf.default_source(m)
     lam = compton_wavelength(m)
-    intervals = opts.get("intervals", sf.DEFAULT_INTERVALS)
     radii = _sample_range(opts, 0.1 * lam.value, 10.0 * lam.value)
     e2 = fine_structure_fraction(cfg.e2_mode)
     rows = []
     for r in radii:
         rq = Quantity(r, -1)
-        near = sf.near_field_potential(src, m, rq, intervals=intervals).value
+        near = sf.near_field_potential(src, m, rq).value
         far = None
         if r > lam.value:
             far = sf.far_field_coupling(src, m, d, rq, e_squared=e2).value

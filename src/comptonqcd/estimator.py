@@ -18,8 +18,8 @@ from fractions import Fraction
 from .errors import DomainError
 from .natunits import (
     Quantity,
+    e2_mode_label,
     fine_structure_fraction,
-    normalize_e2_mode,
     resolve_e_squared,
 )
 from .potential import charge_fraction
@@ -33,7 +33,6 @@ __all__ = [
     "order_of_magnitude_ok",
     "classify_regime",
     "derivation_report",
-    "render_report_table",
     "render_report_csv_rows",
     "format_exact",
 ]
@@ -167,8 +166,7 @@ def derivation_report(e2_mode: str = "paper") -> dict:
     (null for flags), the units, and a short tag naming the relation used
     (the ``paper_eq`` column of the CSV form).
     """
-    mode = normalize_e2_mode(e2_mode)
-    e2 = fine_structure_fraction(mode)
+    e2 = fine_structure_fraction(e2_mode)
     quark = quark_mass_estimate(e_squared=e2)
     pion_single = pion_mass_estimate(e_squared=e2, fermions=1)
     pion = pion_mass_estimate(e_squared=e2)
@@ -190,8 +188,7 @@ def derivation_report(e2_mode: str = "paper") -> dict:
         _step(7, "single-fermion mass", pion_single.mass_fraction, "m_e", "compton-edge"),
         _step(8, "pion mass (two fermions)", pion.mass_fraction, "m_e", "compton-edge"),
     ]
-    label = "paper-137" if mode == "paper" else "precise"
-    return {"e2_mode": label, "steps": steps}
+    return {"e2_mode": e2_mode_label(e2_mode), "steps": steps}
 
 
 def _step(idx: int, quantity: str, value: Fraction, units: str, tag: str) -> dict:
@@ -213,13 +210,3 @@ def render_report_csv_rows(report: dict) -> list[list[str]]:
             [str(step["step"]), step["quantity"], step["value"], step["units"], step["paper_eq"]]
         )
     return rows
-
-
-def render_report_table(report: dict) -> str:
-    """Aligned text table of the derivation chain."""
-    rows = render_report_csv_rows(report)
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = [f"e2 mode: {report['e2_mode']}"]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"

@@ -29,6 +29,7 @@ __all__ = [
     "fine_structure_fraction",
     "resolve_e_squared",
     "normalize_e2_mode",
+    "e2_mode_label",
     "E2_PAPER",
     "E2_PRECISE",
 ]
@@ -51,6 +52,11 @@ def normalize_e2_mode(mode: str) -> str:
     if key == "precise":
         return "precise"
     raise DomainError(f"unknown e2 mode {mode!r} (expected 'paper-137' or 'precise')")
+
+
+def e2_mode_label(mode: str) -> str:
+    """The printed name of an accepted mode spelling: 'paper-137' or 'precise'."""
+    return "paper-137" if normalize_e2_mode(mode) == "paper" else "precise"
 
 
 @dataclass(frozen=True)

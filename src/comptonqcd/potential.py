@@ -22,6 +22,7 @@ are exposed so the relationship stays visible; see
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -151,6 +152,17 @@ def proton_configuration(separation: Quantity) -> QuarkConfiguration:
     )
 
 
+def _exact_energy(cfg: QuarkConfiguration, positions: list[Fraction], e2: Fraction) -> Fraction:
+    """Exact sum of q_i q_j e^2 / (l |x_i - x_j|) over the pairs, for positions in units of l."""
+    total = Fraction(0)
+    for i, j in itertools.combinations(range(len(positions)), 2):
+        dist = abs(positions[i] - positions[j])
+        if dist == 0:
+            raise SingularConfiguration("two charges coincide")
+        total += cfg.charges[i] * cfg.charges[j] / dist
+    return total * e2 / Fraction(cfg.separation.value)
+
+
 def configuration_energy_fraction(
     cfg: QuarkConfiguration, *, e_squared: Fraction | float | None = None
 ) -> Fraction:
@@ -159,17 +171,8 @@ def configuration_energy_fraction(
     Every float position converts to a rational exactly, so the sum carries
     no rounding at all; multiply by 1/l (also exact) for the energy in m_e.
     """
-    e2 = resolve_e_squared(e_squared)
-    pos = [Fraction(x) for x in cfg.positions]
-    total = Fraction(0)
-    n = len(pos)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = abs(pos[i] - pos[j])
-            if dist == 0:
-                raise SingularConfiguration("coincident charges")
-            total += cfg.charges[i] * cfg.charges[j] / dist
-    return total * e2 / Fraction(cfg.separation.value)
+    positions = [Fraction(x) for x in cfg.positions]
+    return _exact_energy(cfg, positions, resolve_e_squared(e_squared))
 
 
 def configuration_energy(
@@ -210,16 +213,9 @@ def central_displacement_energy(
     e2 = resolve_e_squared(e_squared)
     c = _central_index(cfg)
     if axis == "axial":
-        pos = [Fraction(x) for x in cfg.positions]
-        pos[c] += Fraction(displacement)
-        total = Fraction(0)
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                dist = abs(pos[i] - pos[j])
-                if dist == 0:
-                    raise SingularConfiguration("displacement made two charges coincide")
-                total += cfg.charges[i] * cfg.charges[j] / dist
-        return Quantity(float(total * e2 / Fraction(cfg.separation.value)), 1)
+        positions = [Fraction(x) for x in cfg.positions]
+        positions[c] += Fraction(displacement)
+        return Quantity(float(_exact_energy(cfg, positions, e2)), 1)
     total_f = 0.0
     for i in range(len(cfg.positions)):
         for j in range(i + 1, len(cfg.positions)):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, GridTooSmall, NoBoundState
 from .estimator import quark_mass_estimate
-from .natunits import Quantity, compton_wavelength, fine_structure_fraction, normalize_e2_mode
+from .natunits import Quantity, compton_wavelength, e2_mode_label, fine_structure_fraction
 from .potential import CornellPotential, cornell_from_quark_mass
 from .quadrature import composite_simpson
 
@@ -291,8 +291,7 @@ def confinement_report(
     m/2, ground state on the default grid; the headline number is the RMS
     radius over the Compton wavelength.
     """
-    mode = normalize_e2_mode(e2_mode)
-    e2 = fine_structure_fraction(mode)
+    e2 = fine_structure_fraction(e2_mode)
     estimate = quark_mass_estimate(e_squared=e2)
     m_quark = estimate.mass
     pot = cornell_from_quark_mass(m_quark)
@@ -302,7 +301,7 @@ def confinement_report(
     state = solve_bound_state(problem, 1)
     ratio = state.rms_radius.value / lam.value
     return {
-        "e2_mode": "paper-137" if mode == "paper" else "precise",
+        "e2_mode": e2_mode_label(e2_mode),
         "m_quark": m_quark.value,
         "alpha": pot.alpha.value,
         "sigma": pot.sigma.value,

@@ -7,11 +7,13 @@ one-dimensional integrals over the source radius r':
     inverse kernel:  (2*pi/r) * Int r' eps(r') [(r + r') - |r - r'|] dr'
     linear kernel:   (2*pi/(3*r)) * Int r' eps(r') [(r + r')^3 - |r - r'|^3] dr'
 
-Both integrands have a kink at r' = r, so quadrature runs as composite Simpson
-on each smooth piece (and, for tabulated profiles, on each table segment).
-Profiles are renormalized at construction with the same quadrature rule, which
-makes the shell theorem (exterior inverse kernel equal to E_tot/r) hold to
-rounding accuracy for every profile.
+For a uniform ball both integrals are polynomials in r (and 1/r), evaluated in
+closed form with no quadrature.  For a tabulated profile both integrands have
+a kink at r' = r, so they run as composite Simpson on each smooth piece (each
+table segment, split at r), about DEFAULT_INTERVALS panels per integral.
+Tables are renormalized at construction with the same rule, which makes the
+shell theorem (exterior inverse kernel equal to E_tot/r) hold to rounding
+accuracy for every table.
 
 The near-field potential combines the kernels as
 
@@ -120,8 +122,7 @@ class RadialTable:
         if self.total_energy.value <= 0.0:
             raise InvalidSource("total energy must be positive")
         norm = _table_integral(
-            self.radii, self.densities, lambda x: 4.0 * math.pi * x * x,
-            0.0, self.radii[-1], DEFAULT_INTERVALS,
+            self.radii, self.densities, lambda x: 4.0 * math.pi * x * x, 0.0, self.radii[-1]
         )
         if abs(norm - self.total_energy.value) > 1e-10 * self.total_energy.value:
             raise InvalidSource(
@@ -142,7 +143,7 @@ class RadialTable:
         _check_energy(total_energy, "total_energy")
         if total_energy.value <= 0.0:
             raise InvalidSource("total energy must be positive")
-        norm = _table_integral(r, eps, lambda x: 4.0 * math.pi * x * x, 0.0, r[-1], DEFAULT_INTERVALS)
+        norm = _table_integral(r, eps, lambda x: 4.0 * math.pi * x * x, 0.0, r[-1])
         if norm <= 0.0:
             raise InvalidSource("profile integrates to zero energy")
         scale = total_energy.value / norm
@@ -193,23 +194,7 @@ def load_source_csv(path: str, total_energy: Quantity) -> RadialTable:
 
 
 # ---------------------------------------------------------------------------
-# quadrature
-
-
-def _segmented_simpson(
-    weight_density: Callable[[np.ndarray], np.ndarray],
-    edges: "list[float]",
-    intervals: int,
-) -> float:
-    span = edges[-1] - edges[0]
-    total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        n = max(4, int(round(intervals * (b - a) / span)))
-        if n % 2:
-            n += 1
-        x = np.linspace(a, b, n + 1)
-        total += composite_simpson(weight_density(x), (b - a) / n)
-    return total
+# table quadrature
 
 
 def _table_integral(
@@ -218,112 +203,95 @@ def _table_integral(
     weight: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    intervals: int,
 ) -> float:
     """Integrate weight(r') * eps(r') for a tabulated profile over [lo, hi].
 
-    Simpson runs inside each table segment so the piecewise-linear profile
-    never straddles a quadrature panel.
+    Composite Simpson runs inside each smooth piece (each table segment, split
+    at lo and hi), about DEFAULT_INTERVALS panels over the whole span, so the
+    piecewise-linear profile never straddles a quadrature panel.
     """
     if hi <= lo:
         return 0.0
     edges = [lo] + [p for p in radii if lo < p < hi] + [hi]
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return weight(x) * np.interp(x, radii, densities, left=densities[0], right=0.0)
-
-    return _segmented_simpson(integrand, edges, intervals)
-
-
-def _integrate(
-    src: SourceDensity,
-    weight: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    intervals: int,
-) -> float:
-    """Integrate weight(r') * eps(r') over [lo, hi], Simpson per smooth piece."""
-    if hi <= lo:
-        return 0.0
-    if isinstance(src, UniformBall):
-        R = src.support_radius.value
-        rho = src.density
-
-        def integrand(x: np.ndarray) -> np.ndarray:
-            return weight(x) * np.where(x <= R, rho, 0.0)
-
-        edges = [lo] + ([R] if lo < R < hi else []) + [hi]
-        return _segmented_simpson(integrand, edges, intervals)
-    return _table_integral(src.radii, src.densities, weight, lo, hi, intervals)
+    total = 0.0
+    for a, b in zip(edges, edges[1:]):
+        n = max(4, int(round(DEFAULT_INTERVALS * (b - a) / (hi - lo))))
+        n += n % 2
+        x = np.linspace(a, b, n + 1)
+        eps = np.interp(x, radii, densities, left=densities[0], right=0.0)
+        total += composite_simpson(weight(x) * eps, (b - a) / n)
+    return total
 
 
 # ---------------------------------------------------------------------------
 # kernel integrals
 
 
-def radial_reduce_inverse(
-    src: SourceDensity, r: Quantity, *, intervals: int = DEFAULT_INTERVALS
-) -> Quantity:
+def _radius_value(r: Quantity) -> float:
+    _check_radius(r, "r")
+    if r.value < 0.0:
+        raise DomainError(f"radius must be non-negative, got {r.value}")
+    return r.value
+
+
+def radial_reduce_inverse(src: SourceDensity, r: Quantity) -> Quantity:
     """Inverse-distance kernel Int eps(x') / |x - x'| d^3x' at radius r.
 
-    Exterior points (r >= R) reproduce E_tot/r to rounding accuracy (shell
-    theorem).  r = 0 returns the interior closed-form limit for a uniform
-    ball, and clamps r to one grid spacing (with :class:`ClampWarning`) for
-    tabulated profiles.
+    A uniform ball evaluates in closed form: E_tot/r outside, and
+    E_tot (3R^2 - r^2) / (2R^3) inside.  For a tabulated profile exterior
+    points reproduce E_tot/r to rounding accuracy (shell theorem), and r = 0
+    is clamped to R / DEFAULT_INTERVALS with :class:`ClampWarning`.
     """
-    _check_radius(r, "r")
-    rv = r.value
+    rv = _radius_value(r)
     R = src.support_radius.value
-    if rv < 0.0:
-        raise DomainError(f"radius must be non-negative, got {rv}")
+    if isinstance(src, UniformBall):
+        E = src.total_energy.value
+        if rv >= R:
+            return Quantity(E / rv, 2)
+        return Quantity(E * (3.0 * R * R - rv * rv) / (2.0 * R**3), 2)
     if rv == 0.0:
-        if isinstance(src, UniformBall):
-            return Quantity(1.5 * src.total_energy.value / R, 2)
-        rv = R / intervals
+        rv = R / DEFAULT_INTERVALS
         warnings.warn(
             f"r = 0 clamped to the grid spacing {rv:.3e} for a tabulated profile",
             ClampWarning,
             stacklevel=2,
         )
-    split = min(rv, R)
+    radii, densities, split = src.radii, src.densities, min(rv, R)
     # r' <= r: (r + r') - |r - r'| = 2 r';   r' >= r: it equals 2 r.
-    total = _integrate(src, lambda x: x * ((rv + x) - (rv - x)), 0.0, split, intervals)
-    if split < R:
-        total += _integrate(src, lambda x: x * ((rv + x) - (x - rv)), split, R, intervals)
+    total = _table_integral(radii, densities, lambda x: x * ((rv + x) - (rv - x)), 0.0, split)
+    total += _table_integral(radii, densities, lambda x: x * ((rv + x) - (x - rv)), split, R)
     return Quantity(2.0 * math.pi / rv * total, 2)
 
 
-def radial_reduce_linear(
-    src: SourceDensity, r: Quantity, *, intervals: int = DEFAULT_INTERVALS
-) -> Quantity:
+def radial_reduce_linear(src: SourceDensity, r: Quantity) -> Quantity:
     """Linear-distance kernel Int eps(x') |x - x'| d^3x' at radius r.
 
-    For a uniform ball and r >= R this equals E_tot * (r + R^2 / (5 r)).
-    At r = 0 the limit is the mean-radius integral 4*pi*Int r'^3 eps dr',
+    A uniform ball evaluates in closed form: E_tot (r + R^2/(5r)) outside, and
+    E_tot (r^2/(2R) + 3R/4 - r^4/(20R^3)) inside.  For a tabulated profile
+    the r = 0 limit is the mean-radius integral 4*pi*Int r'^3 eps dr',
     evaluated directly.
     """
-    _check_radius(r, "r")
-    rv = r.value
+    rv = _radius_value(r)
     R = src.support_radius.value
-    if rv < 0.0:
-        raise DomainError(f"radius must be non-negative, got {rv}")
+    if isinstance(src, UniformBall):
+        E = src.total_energy.value
+        if rv >= R:
+            return Quantity(E * (rv + R * R / (5.0 * rv)), 0)
+        return Quantity(E * (rv * rv / (2.0 * R) + 0.75 * R - rv**4 / (20.0 * R**3)), 0)
+    radii, densities, split = src.radii, src.densities, min(rv, R)
     if rv == 0.0:
-        total = _integrate(src, lambda x: 4.0 * math.pi * x**3, 0.0, R, intervals)
+        total = _table_integral(radii, densities, lambda x: 4.0 * math.pi * x**3, 0.0, R)
         return Quantity(total, 0)
-    split = min(rv, R)
-    total = _integrate(
-        src, lambda x: x * ((rv + x) ** 3 - (rv - x) ** 3), 0.0, split, intervals
+    total = _table_integral(
+        radii, densities, lambda x: x * ((rv + x) ** 3 - (rv - x) ** 3), 0.0, split
     )
-    if split < R:
-        total += _integrate(
-            src, lambda x: x * ((rv + x) ** 3 - (x - rv) ** 3), split, R, intervals
-        )
+    total += _table_integral(
+        radii, densities, lambda x: x * ((rv + x) ** 3 - (x - rv) ** 3), split, R
+    )
     return Quantity(2.0 * math.pi / (3.0 * rv) * total, 0)
 
 
-def near_field_potential(
-    src: SourceDensity, m: Quantity, r: Quantity, *, intervals: int = DEFAULT_INTERVALS
-) -> Quantity:
+def near_field_potential(src: SourceDensity, m: Quantity, r: Quantity) -> Quantity:
     """Near-field potential 4*m*(inverse kernel) + 2*m^3*(linear kernel).
 
     The m^2 factor on the linear term models the second time derivative of
@@ -333,8 +301,8 @@ def near_field_potential(
     _check_energy(m, "m")
     if m.value <= 0.0:
         raise DomainError("mass must be positive")
-    inv = radial_reduce_inverse(src, r, intervals=intervals)
-    lin = radial_reduce_linear(src, r, intervals=intervals)
+    inv = radial_reduce_inverse(src, r)
+    lin = radial_reduce_linear(src, r)
     return 4.0 * (m * inv) + 2.0 * (m**3 * lin)
 
 

@@ -62,7 +62,7 @@ CASES = [
     case("field_table", "field", "--d", "2", "--points", "4", "--r-start", "0.5",
          "--r-stop", "3", "--format", "table"),
     case("field_json", "field", "--points", "3", "--r-start", "0.5", "--r-stop", "2",
-         "--intervals", "512", "--format", "json", env="precise"),
+         "--format", "json", env="precise"),
     case("linearize_csv", "linearize", "--l", "2", "--step", "1e-3", "--format", "csv",
          config={"e2_mode": "precise"}),
     case("linearize_json", "linearize", "--e2-mode", "precise", "--format", "json"),
@@ -95,6 +95,7 @@ CASES = [
     case("usage_missing_config", "derive", "--config", "missing.json"),
     case("usage_config_bad_e2_mode", "derive", config={"e2_mode": "paper"}),
     case("usage_config_bad_format", "regime", config={"output_format": "xml"}),
+    case("usage_field_intervals", "field", "--intervals", "512"),
     # computation errors: exit 1
     case("error_charge_dimension", "charge", "--d", "4"),
     case("error_potential_range", "potential", "--r-start", "5", "--r-stop", "1"),

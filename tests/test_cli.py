@@ -254,7 +254,6 @@ def test_potential_bad_range_is_computation_error(capsys):
 def test_field_csv_blank_far_inside_compton(capsys):
     _, out, _ = run_cli(
         capsys, "field", "--points", "3", "--r-start", "0.5", "--r-stop", "2",
-        "--intervals", "512",
     )
     lines = out.splitlines()
     assert lines[0] == "r,near,far"
@@ -262,10 +261,22 @@ def test_field_csv_blank_far_inside_compton(capsys):
     assert not lines[3].endswith(",")
 
 
+def test_field_has_no_intervals_setting(capsys, tmp_path):
+    # the ball is evaluated in closed form, so there is no quadrature to tune
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"intervals": 512}), encoding="utf-8")
+    for argv in (["field", "--intervals", "512"], ["field", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "intervals" in err
+
+
 def test_field_json_schema(capsys):
     _, out, _ = run_cli(
         capsys, "field", "--points", "3", "--r-start", "0.5", "--r-stop", "2",
-        "--format", "json", "--intervals", "512",
+        "--format", "json",
     )
     payload = json.loads(out)
     validate("field", payload)

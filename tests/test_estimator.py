@@ -17,7 +17,6 @@ from comptonqcd.estimator import (
     pion_mass_estimate,
     quark_mass_estimate,
     render_report_csv_rows,
-    render_report_table,
 )
 from comptonqcd.natunits import E2_PRECISE
 
@@ -166,6 +165,3 @@ def test_report_renderers():
     rows = render_report_csv_rows(report)
     assert rows[0] == ["step", "quantity", "value", "units", "paper_eq"]
     assert any("1233" in row for row in rows[1:] for row in [row[2]])
-    table = render_report_table(report)
-    assert table.endswith("\n")
-    assert "1233" in table and "274" in table

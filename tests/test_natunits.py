@@ -19,6 +19,7 @@ from comptonqcd.natunits import (
     E2_PRECISE,
     Quantity,
     compton_wavelength,
+    e2_mode_label,
     fine_structure_constant,
     fine_structure_fraction,
     make_quantity,
@@ -162,6 +163,14 @@ def test_mode_spellings():
     assert normalize_e2_mode("PRECISE") == "precise"
     with pytest.raises(DomainError):
         normalize_e2_mode("codata")
+
+
+def test_mode_labels():
+    for spelling in ("paper", "paper-137", " Paper "):
+        assert e2_mode_label(spelling) == "paper-137"
+    assert e2_mode_label("PRECISE") == "precise"
+    with pytest.raises(DomainError):
+        e2_mode_label("codata")
 
 
 def test_resolve_e_squared():

@@ -206,6 +206,17 @@ def test_displacement_bounds_and_axis_validation():
         central_displacement_energy(even, 0.1, "axial")
 
 
+def test_axial_displacement_onto_a_neighbour_is_singular():
+    # uneven spacing: the central charge at 0 sits 0.5 from its left neighbour
+    cfg = QuarkConfiguration(
+        (Fraction(2, 3), Fraction(-1, 3), Fraction(2, 3)), (-0.5, 0.0, 1.0), Quantity(1.0, -1)
+    )
+    with pytest.raises(SingularConfiguration):
+        central_displacement_energy(cfg, -0.5, "axial")
+    # the same shift off the line keeps every distance positive
+    assert math.isfinite(central_displacement_energy(cfg, -0.5, "transverse").value)
+
+
 def test_confinement_slope_values():
     assert confinement_slope(Quantity(1.0, -1)).value == pytest.approx(8.110e-4, rel=1e-3)
     assert confinement_slope(Quantity(1.0, -1)).value == float(Fraction(1, 1233))

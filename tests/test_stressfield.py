@@ -101,12 +101,46 @@ def test_kernels_reject_negative_radius():
         radial_reduce_linear(BALL, Quantity(-0.5, -1))
 
 
-def test_quadrature_grid_halving_stability():
-    for r in (0.3, 0.9, 2.5):
-        for kernel in (radial_reduce_inverse, radial_reduce_linear):
-            coarse = kernel(BALL, Quantity(r, -1), intervals=4096).value
-            fine = kernel(BALL, Quantity(r, -1), intervals=8192).value
-            assert abs(fine - coarse) <= 1e-8 * abs(coarse)
+def exact_ball_kernels(e_tot: float, big_r: float, r: float) -> tuple[Fraction, Fraction]:
+    """Both ball kernels from the radial reductions, integrated exactly in rationals.
+
+    With s = min(r, R) and 2*pi*eps = 3E / (2R^3) the integrals are
+    inverse: Int_0^s 2x^2 dx + Int_s^R 2rx dx,
+    linear:  Int_0^s (6r^2x^2 + 2x^4) dx + Int_s^R (2r^3x + 6rx^3) dx.
+    """
+    E, R, r = Fraction(e_tot), Fraction(big_r), Fraction(r)
+    if r == 0:
+        return 3 * E / (2 * R), 3 * E * R / 4
+    s = min(r, R)
+    two_pi_eps = 3 * E / (2 * R**3)
+    inv = 2 * s**3 / 3 + r * (R**2 - s**2)
+    lin = 2 * r**2 * s**3 + 2 * s**5 / 5 + r**3 * (R**2 - s**2) + 3 * r * (R**4 - s**4) / 2
+    return two_pi_eps / r * inv, two_pi_eps / (3 * r) * lin
+
+
+def test_ball_kernels_are_exact_closed_forms():
+    for e_tot, big_r in ((1.0, 1.0), (2.0, 0.5), (0.3, 7.25)):
+        ball = UniformBall(Quantity(big_r, -1), Quantity(e_tot, 1))
+        # the centre, inside, the surface and outside
+        for x in (0.0, 1e-3, 0.3, 0.999, 1.0, 1.001, 2.5, 40.0):
+            r = x * big_r
+            want_inv, want_lin = exact_ball_kernels(e_tot, big_r, r)
+            got_inv = radial_reduce_inverse(ball, Quantity(r, -1)).value
+            got_lin = radial_reduce_linear(ball, Quantity(r, -1)).value
+            assert abs(Fraction(got_inv) - want_inv) <= Fraction(1e-14) * want_inv
+            assert abs(Fraction(got_lin) - want_lin) <= Fraction(1e-14) * want_lin
+
+
+def test_ball_kernels_need_no_quadrature(monkeypatch):
+    import comptonqcd.stressfield as sf
+
+    def refuse(*args):
+        raise AssertionError("a uniform ball must not call composite_simpson")
+
+    monkeypatch.setattr(sf, "composite_simpson", refuse)
+    m = Quantity(2.0, 1)
+    for r in (0.0, 0.25, 0.5, 3.0):
+        near_field_potential(default_source(m), m, Quantity(r, -1))
 
 
 # --- tabulated profiles -----------------------------------------------------
@@ -144,7 +178,7 @@ def test_table_normalization_enforced():
     from comptonqcd.stressfield import _table_integral
 
     norm = _table_integral(
-        tab.radii, tab.densities, lambda x: 4.0 * math.pi * x * x, 0.0, 1.0, 4096
+        tab.radii, tab.densities, lambda x: 4.0 * math.pi * x * x, 0.0, 1.0
     )
     assert abs(norm - 2.5) <= 1e-10 * 2.5
 
@@ -248,7 +282,7 @@ def test_near_field_has_unique_interior_minimum():
     for src, m in sources:
         rs = np.geomspace(0.05, 50.0, 400)
         vals = [
-            near_field_potential(src, m, Quantity(float(r), -1), intervals=512).value
+            near_field_potential(src, m, Quantity(float(r), -1)).value
             for r in rs
         ]
         diffs = np.sign(np.diff(vals))

@@ -30,6 +30,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -264,6 +265,8 @@ def _sample_range(opts: dict, r_start: float, r_stop: float) -> list[float]:
     r_start = opts.get("r_start", r_start)
     r_stop = opts.get("r_stop", r_stop)
     points = opts.get("points", 50)
+    if not (math.isfinite(r_start) and math.isfinite(r_stop)):
+        raise ToolkitError(f"r_start and r_stop must be finite, got {r_start} and {r_stop}")
     if points < 2 or not 0.0 < r_start < r_stop:
         raise ToolkitError("need points >= 2 and 0 < r_start < r_stop")
     step = (r_stop - r_start) / (points - 1)
@@ -316,7 +319,7 @@ def _run_linearize(cfg: RunConfig) -> Output:
     opts = cfg.options
     l_value = opts.get("l", 1.0)
     step = opts.get("step", 1e-4)
-    if step <= 0.0 or step >= 0.5:
+    if not 0.0 < step < 0.5:
         raise ToolkitError("finite-difference step must lie in (0, 0.5)")
     e2 = fine_structure_fraction(cfg.e2_mode)
     sep = Quantity(l_value, -1)

@@ -11,6 +11,7 @@ reproduces bit for bit in the default coupling mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -126,6 +127,8 @@ def classify_regime(scale_over_compton: float, band_halfwidth: float = 0.5) -> R
     x = float(scale_over_compton)
     if not x > 0.0:
         raise DomainError(f"scale ratio must be positive, got {scale_over_compton}")
+    if not math.isfinite(x):
+        raise DomainError(f"scale ratio must be finite, got {scale_over_compton}")
     if not 0.0 < band_halfwidth < 1.0:
         raise DomainError(f"band halfwidth must lie in (0, 1), got {band_halfwidth}")
     if x <= 1.0 - band_halfwidth:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+# for annotations only: the ndarray methods need no numpy import, so the exact
+# subcommands, which load this module, never import numpy
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["composite_simpson"]
 
@@ -25,5 +30,5 @@ def composite_simpson(y: np.ndarray, h: float) -> float:
             return 3.0 * h / 8.0 * float(y[0] + 3.0 * y[1] + 3.0 * y[2] + y[3])
         total += 3.0 * h / 8.0 * float(y[-4] + 3.0 * y[-3] + 3.0 * y[-2] + y[-1])
         y = y[:-3]
-    total += h / 3.0 * float(y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2]))
+    total += h / 3.0 * float(y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
     return total

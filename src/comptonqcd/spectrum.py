@@ -21,14 +21,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, GridTooSmall, NoBoundState
 from .estimator import quark_mass_estimate
 from .natunits import Quantity, compton_wavelength, e2_mode_label, fine_structure_fraction
 from .potential import CornellPotential, cornell_from_quark_mass
 from .quadrature import composite_simpson
+
+# numpy is imported inside the functions that use it, so that the exact
+# subcommands, which load this module, never import it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RadialProblem",
@@ -91,7 +95,7 @@ def make_default_problem(
     angular_momentum: int = 0,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> RadialProblem:
-    """Grid spanning [1e-6, 40] times the length scale, 20000 points."""
+    """Grid spanning [1e-6, 40] times the length scale, with ``grid_points`` points."""
     if length_scale.dim != -1 or length_scale.value <= 0.0:
         raise DomainError("length scale must be a positive length (dim -1)")
     return RadialProblem(
@@ -157,6 +161,8 @@ def _laguerre_mesh(size: int) -> tuple[np.ndarray, np.ndarray]:
     off-diagonal i).  As 1/w_j = sum_k p_k(x_j)^2, V is p_k(x_j) scaled to unit
     columns; the common factor e^(-x_j/2) cancels there and keeps high degrees finite.
     """
+    import numpy as np
+
     off = np.arange(1.0, size)
     jacobi = np.diag(2.0 * np.arange(size) + 1.0) + np.diag(off, 1) + np.diag(off, -1)
     x = np.linalg.eigvalsh(jacobi)
@@ -170,6 +176,8 @@ def _laguerre_mesh(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _kinetic_matrix(x: np.ndarray) -> np.ndarray:
     """-d^2/dx^2 on the regularized Laguerre mesh, in the Gauss approximation."""
+    import numpy as np
+
     size = len(x)
     idx = np.arange(size)
     sign = 1.0 - 2.0 * ((idx[:, None] + idx) % 2)
@@ -194,6 +202,8 @@ def _wavefunction(c: np.ndarray, x: np.ndarray, basis: np.ndarray, h: float,
     Clenshaw's recurrence on a few table-sized arrays; e^(-t/2) enters at every
     step, so no term overflows at large t.
     """
+    import numpy as np
+
     t = r / h
     b = basis @ (c / x)
     decay = np.exp(-0.5 * t)
@@ -212,6 +222,8 @@ def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
     :class:`GridTooSmall` when the output table misses more than 1e-6 of the
     probability or shows a node count other than n - 1.
     """
+    import numpy as np
+
     alpha, sigma, mu = p.potential.alpha.value, p.potential.sigma.value, p.reduced_mass.value
     extent = cover_extent(alpha, sigma, mu, n, p.angular_momentum)
     x, basis = _laguerre_mesh(_mesh_size(n))

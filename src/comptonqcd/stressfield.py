@@ -32,9 +32,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Union
 
 from .errors import (
     DomainError,
@@ -44,6 +42,11 @@ from .errors import (
 )
 from .natunits import Quantity, compton_wavelength, resolve_e_squared
 from .quadrature import composite_simpson
+
+# numpy is imported inside the functions that use it, so that the exact
+# subcommands, which load this module, never import it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "UniformBall",
@@ -210,6 +213,8 @@ def _table_integral(
     at lo and hi), about DEFAULT_INTERVALS panels over the whole span, so the
     piecewise-linear profile never straddles a quadrature panel.
     """
+    import numpy as np
+
     if hi <= lo:
         return 0.0
     edges = [lo] + [p for p in radii if lo < p < hi] + [hi]

@@ -251,6 +251,18 @@ def test_potential_bad_range_is_computation_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["potential", "field"])
+@pytest.mark.parametrize("bound", ["--r-start", "--r-stop"])
+def test_non_finite_range_is_named(capsys, command, bound):
+    # an infinite r_stop once made the step infinite and every sample NaN,
+    # which surfaced as "value must be finite, got nan"
+    code, out, err = run_cli(capsys, command, bound, "inf")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: r_start and r_stop must be finite, got ")
+    assert err.count("\n") == 1 and "nan" not in err
+
+
 def test_field_csv_blank_far_inside_compton(capsys):
     _, out, _ = run_cli(
         capsys, "field", "--points", "3", "--r-start", "0.5", "--r-stop", "2",
@@ -296,6 +308,15 @@ def test_linearize_json_schema_and_values(capsys):
     assert payload["declared_slope_exact"] == "1/1233"
     assert abs(payload["single_pair_slope_magnitude"] - 2.0 * declared) <= 1e-6 * declared
     assert payload["pair_to_declared_ratio"] == pytest.approx(2.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0", "0.5"])
+def test_linearize_step_outside_range_is_computation_error(capsys, step):
+    # a NaN step once slipped past the range test and ended in a traceback
+    code, out, err = run_cli(capsys, "linearize", "--step", step)
+    assert code == 1
+    assert out == ""
+    assert err == "error: finite-difference step must lie in (0, 0.5)\n"
 
 
 # --- spectrum ----------------------------------------------------------------------
@@ -402,6 +423,15 @@ def test_regime_json_schema_and_delta(capsys):
     assert payload["regime"] == "Electron"
 
 
+@pytest.mark.parametrize("ratio", ["inf", "nan"])
+def test_regime_non_finite_ratio_is_computation_error(capsys, ratio):
+    # an infinite ratio once printed "Infinity", which is not JSON
+    code, out, err = run_cli(capsys, "regime", "--ratio", ratio, "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: scale ratio must be") and err.count("\n") == 1
+
+
 # --- end-to-end process checks ----------------------------------------------------------
 
 
@@ -412,3 +442,32 @@ def test_module_invocation_byte_identical():
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
     assert b"\r" not in first.stdout
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import comptonqcd.cli as cli
+layers = ("cli", "potential", "estimator", "spectrum", "stressfield", "quadrature")
+report = {"unloaded": [m for m in layers if f"comptonqcd.{m}" not in sys.modules], "codes": []}
+for command in ("derive", "charge", "potential", "linearize", "regime", "field"):
+    for form in ("json", "csv", "table"):
+        with contextlib.redirect_stdout(io.StringIO()):
+            report["codes"].append(cli.main([command, "--format", form]))
+report["numpy_after_exact"] = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    report["codes"].append(cli.main(["spectrum", "--grid-points", "2000"]))
+report["numpy_after_spectrum"] = "numpy" in sys.modules
+print(json.dumps(report))
+"""
+
+
+def test_exact_subcommands_and_field_do_not_import_numpy():
+    # a fresh interpreter, since this one has numpy loaded already; every layer
+    # module must still load with the CLI, as the benchmark tracer wraps them all
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          capture_output=True, text=True, check=True)
+    report = json.loads(done.stdout)
+    assert report["unloaded"] == []
+    assert report["codes"] == [0] * 19
+    assert report["numpy_after_exact"] is False
+    assert report["numpy_after_spectrum"] is True

@@ -76,7 +76,6 @@ from .spectrum import (
     confinement_report,
     cover_extent,
     make_default_problem,
-    rms_radius,
     solve_bound_state,
     virial_check,
     write_bound_state_csv,

@@ -33,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -157,9 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=float, default=None, dest="r_max")
     p.add_argument("--grid-points", type=int, default=None, dest="grid_points")
 
-    p = command("confinement", _run_confinement, "table",
-                "ground-state RMS radius over the Compton wavelength")
-    p.add_argument("--grid-points", type=int, default=None, dest="grid_points")
+    command("confinement", _run_confinement, "table",
+            "ground-state RMS radius over the Compton wavelength")
 
     p = command("regime", _run_regime, "table", "classify a probe scale")
     p.add_argument("--ratio", type=float, default=None,
@@ -331,12 +330,6 @@ def _run_linearize(cfg: RunConfig) -> Output:
     def transverse(x: float) -> float:
         return pot.central_displacement_energy(proton, x, "transverse", e_squared=e2).value
 
-    e0 = axial(0.0)
-    # displacements are in units of l, so scale the derivatives back by 1/l^k
-    first = (axial(step) - axial(-step)) / (2.0 * step) / l_value
-    second_ax = (axial(step) - 2.0 * e0 + axial(-step)) / step**2 / l_value**2
-    second_tr = (transverse(step) - 2.0 * e0 + transverse(-step)) / step**2 / l_value**2
-
     pair = pot.QuarkConfiguration(
         (Fraction(-1, 3), Fraction(2, 3)), (0.0, 1.0), sep
     )
@@ -345,9 +338,20 @@ def _run_linearize(cfg: RunConfig) -> Output:
         shifted = pot.QuarkConfiguration(pair.charges, (x, 1.0), sep)
         return pot.configuration_energy(shifted, e_squared=e2).value
 
-    pair_slope = abs(pair_energy(step) - pair_energy(-step)) / (2.0 * step) / l_value
-    declared = pot.confinement_slope(sep, e_squared=e2)
-    declared_exact = e2 / 9 / Fraction(l_value) ** 2
+    try:
+        e0 = axial(0.0)
+        # displacements are in units of l, so scale the derivatives back by 1/l^k
+        first = (axial(step) - axial(-step)) / (2.0 * step) / l_value
+        second_ax = (axial(step) - 2.0 * e0 + axial(-step)) / step**2 / l_value**2
+        second_tr = (transverse(step) - 2.0 * e0 + transverse(-step)) / step**2 / l_value**2
+        pair_slope = abs(pair_energy(step) - pair_energy(-step)) / (2.0 * step) / l_value
+        declared = pot.confinement_slope(sep, e_squared=e2)
+        ratio = pair_slope / declared.value
+        # float arithmetic past the float64 range either raises or returns inf
+        if not all(map(math.isfinite, (first, second_ax, second_tr, pair_slope, ratio))):
+            raise OverflowError
+    except ArithmeticError as exc:
+        raise DomainError(f"l = {l_value:g} puts a derivative or the slope outside float64") from exc
     values = {
         "l": l_value,
         "displacement_step": step,
@@ -356,8 +360,8 @@ def _run_linearize(cfg: RunConfig) -> Output:
         "transverse_second_derivative": second_tr,
         "single_pair_slope_magnitude": pair_slope,
         "declared_slope": declared.value,
-        "declared_slope_exact": estimator.format_exact(declared_exact),
-        "pair_to_declared_ratio": pair_slope / declared.value,
+        "declared_slope_exact": estimator.format_exact(e2 / 9 / Fraction(l_value) ** 2),
+        "pair_to_declared_ratio": ratio,
     }
     return Output({"e2_mode": cfg.e2_mode, **values}, _record(values))
 
@@ -370,21 +374,13 @@ def _run_spectrum(cfg: RunConfig) -> Output:
     ell = opts.get("ell", 0)
     n = opts.get("n", 1)
     cornell = pot.CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2))
-    # also rejects mu <= 0, n < 1 and ell < 0 before the scales below divide by them
-    extent = spec.cover_extent(alpha, sigma, mu, n, ell)
-    scale = 0.0
-    if alpha > 0.0:
-        scale = max(scale, 1.0 / (mu * alpha))
-    if sigma > 0.0:
-        scale = max(scale, (2.0 * mu * sigma) ** (-1.0 / 3.0))
-    if scale == 0.0:
-        scale = 1.0
-    r_min = opts.get("r_min", spec.R_MIN_FACTOR * scale)
-    r_max = opts.get("r_max", extent)
-    grid_points = opts.get("grid_points", spec.DEFAULT_GRID_POINTS)
-    problem = spec.RadialProblem(
-        cornell, Quantity(mu, 1), Quantity(r_min, -1), Quantity(r_max, -1), ell, grid_points
+    # its cover_extent call rejects mu <= 0, n < 1 and ell < 0 before any solve
+    problem = spec.make_default_problem(
+        cornell, Quantity(mu, 1), level=n, angular_momentum=ell,
+        grid_points=opts.get("grid_points", spec.DEFAULT_GRID_POINTS),
     )
+    bounds = {key: Quantity(opts[key], -1) for key in ("r_min", "r_max") if key in opts}
+    problem = replace(problem, **bounds)
     state = spec.solve_bound_state(problem, n)
     payload = spec.bound_state_sidecar(state, problem)
     return Output(
@@ -396,8 +392,7 @@ def _run_spectrum(cfg: RunConfig) -> Output:
 
 
 def _run_confinement(cfg: RunConfig) -> Output:
-    grid_points = cfg.options.get("grid_points", spec.DEFAULT_GRID_POINTS)
-    report = spec.confinement_report(e2_mode=cfg.e2_mode, grid_points=grid_points)
+    report = spec.confinement_report(e2_mode=cfg.e2_mode)
     return Output(report, _record(report))
 
 

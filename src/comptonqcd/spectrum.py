@@ -11,9 +11,10 @@ ends at :func:`cover_extent`, the outer turning point of level n plus 15
 decay lengths.
 
 r_min, r_max and grid_points only set the output table, on which u is
-evaluated, normalized with composite Simpson and its RMS radius taken.  The
-solve checks that the table shows n - 1 nodes and holds all but 1e-6 of the
-probability.  Solves are deterministic and repeat bit for bit.
+evaluated, normalized with composite Simpson and its RMS radius taken;
+:func:`make_default_problem` ends it where the mesh ends.  The solve checks
+that the table shows n - 1 nodes and holds all but 1e-6 of the probability.
+Solves are deterministic and repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "BoundState",
     "cover_extent",
     "solve_bound_state",
-    "rms_radius",
     "virial_check",
     "confinement_ratio",
     "confinement_report",
@@ -48,12 +48,10 @@ __all__ = [
     "bound_state_sidecar",
     "DEFAULT_GRID_POINTS",
     "R_MIN_FACTOR",
-    "R_MAX_FACTOR",
 ]
 
 DEFAULT_GRID_POINTS = 20000
 R_MIN_FACTOR = 1e-6
-R_MAX_FACTOR = 40.0
 
 # decay lengths the mesh covers beyond the outer classical turning point
 _DECAY_LENGTHS = 15.0
@@ -85,27 +83,6 @@ class RadialProblem:
             raise DomainError("angular momentum must be non-negative")
         if self.grid_points < 1000:
             raise DomainError("grid must have at least 1000 points")
-
-
-def make_default_problem(
-    potential: CornellPotential,
-    reduced_mass: Quantity,
-    length_scale: Quantity,
-    *,
-    angular_momentum: int = 0,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> RadialProblem:
-    """Grid spanning [1e-6, 40] times the length scale, with ``grid_points`` points."""
-    if length_scale.dim != -1 or length_scale.value <= 0.0:
-        raise DomainError("length scale must be a positive length (dim -1)")
-    return RadialProblem(
-        potential=potential,
-        reduced_mass=reduced_mass,
-        r_min=Quantity(R_MIN_FACTOR * length_scale.value, -1),
-        r_max=Quantity(R_MAX_FACTOR * length_scale.value, -1),
-        angular_momentum=angular_momentum,
-        grid_points=grid_points,
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +124,27 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
     if not covers:
         raise NoBoundState("potential is identically zero")
     return min(covers)
+
+
+def make_default_problem(
+    potential: CornellPotential,
+    reduced_mass: Quantity,
+    *,
+    level: int = 1,
+    angular_momentum: int = 0,
+    grid_points: int = DEFAULT_GRID_POINTS,
+) -> RadialProblem:
+    """The default output table for a level: [R_MIN_FACTOR, 1] times its cover_extent."""
+    r_max = cover_extent(potential.alpha.value, potential.sigma.value, reduced_mass.value,
+                         level, angular_momentum)
+    return RadialProblem(
+        potential=potential,
+        reduced_mass=reduced_mass,
+        r_min=Quantity(R_MIN_FACTOR * r_max, -1),
+        r_max=Quantity(r_max, -1),
+        angular_momentum=angular_momentum,
+        grid_points=grid_points,
+    )
 
 
 def _mesh_size(n: int) -> int:
@@ -218,9 +216,10 @@ def _wavefunction(c: np.ndarray, x: np.ndarray, basis: np.ndarray, h: float,
 def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
     """The n-th bound state (n = 1 is the ground state, n-1 interior nodes).
 
-    Raises :class:`NoBoundState` when both potential terms vanish, and
-    :class:`GridTooSmall` when the output table misses more than 1e-6 of the
-    probability or shows a node count other than n - 1.
+    Raises :class:`NoBoundState` when both potential terms vanish,
+    :class:`DomainError` when the mesh Hamiltonian or the output table
+    overflows float64, and :class:`GridTooSmall` when the output table misses
+    more than 1e-6 of the probability or shows a node count other than n - 1.
     """
     import numpy as np
 
@@ -228,45 +227,45 @@ def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
     extent = cover_extent(alpha, sigma, mu, n, p.angular_momentum)
     x, basis = _laguerre_mesh(_mesh_size(n))
     h = extent / x[-1]
-    hamiltonian = _kinetic_matrix(x) / (2.0 * mu * h * h)
-    hamiltonian[np.diag_indices_from(hamiltonian)] += _effective_potential(p, h * x)
-    energies, vectors = np.linalg.eigh(hamiltonian)
-    c = vectors[:, n - 1]
-    # u > 0 near the origin, where it rises like r^(ell+1)
-    if c[np.argmax(np.abs(c) > 1e-6 * np.max(np.abs(c)))] < 0.0:
-        c = -c
+    # extreme inputs overflow float64; each stage is checked below instead
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        hamiltonian = _kinetic_matrix(x) / (2.0 * mu * h * h)
+        hamiltonian[np.diag_indices_from(hamiltonian)] += _effective_potential(p, h * x)
+        if not np.isfinite(hamiltonian).all():
+            raise DomainError(f"level {n}: the mesh Hamiltonian overflows float64 "
+                              f"(alpha = {alpha:g}, sigma = {sigma:g}, mu = {mu:g})")
+        energies, vectors = np.linalg.eigh(hamiltonian)
+        c = vectors[:, n - 1]
+        # u > 0 near the origin, where it rises like r^(ell+1)
+        if c[np.argmax(np.abs(c) > 1e-6 * np.max(np.abs(c)))] < 0.0:
+            c = -c
 
-    r = np.linspace(p.r_min.value, p.r_max.value, p.grid_points)
-    step = float(r[1] - r[0])
-    u = _wavefunction(c, x, basis, h, r)
-    norm = composite_simpson(u * u, step)
-    if abs(1.0 - norm) > _NORM_TOL:
-        raise GridTooSmall(f"level {n}: [r_min, r_max] holds {norm:.9g} of the probability")
-    u = u / math.sqrt(norm)
-    # sign changes among the interior values above 1e-12 of the peak
-    inner = u[1:-1][np.abs(u[1:-1]) > 1e-12 * np.max(np.abs(u))]
-    nodes = int(np.sum(inner[:-1] * inner[1:] < 0.0))
-    if nodes != n - 1:
-        raise GridTooSmall(f"level {n}: the table shows {nodes} node(s), not {n - 1}")
+        r = np.linspace(p.r_min.value, p.r_max.value, p.grid_points)
+        step = float(r[1] - r[0])
+        overflow = f"level {n}: the output table overflows float64 (r_max = {p.r_max.value:g})"
+        u = _wavefunction(c, x, basis, h, r)
+        norm = composite_simpson(u * u, step)
+        if not math.isfinite(norm):
+            raise DomainError(overflow)
+        if abs(1.0 - norm) > _NORM_TOL:
+            raise GridTooSmall(f"level {n}: [r_min, r_max] holds {norm:.9g} of the probability")
+        u = u / math.sqrt(norm)
+        # sign changes among the interior values above 1e-12 of the peak
+        inner = u[1:-1][np.abs(u[1:-1]) > 1e-12 * np.max(np.abs(u))]
+        nodes = int(np.sum(inner[:-1] * inner[1:] < 0.0))
+        if nodes != n - 1:
+            raise GridTooSmall(f"level {n}: the table shows {nodes} node(s), not {n - 1}")
+        rms = math.sqrt(composite_simpson(r * r * u * u, step))
+        if not math.isfinite(rms):
+            raise DomainError(overflow)
     return BoundState(
         level=n,
         energy=Quantity(float(energies[n - 1]), 1),
         nodes=nodes,
         radii=r,
         u=u,
-        rms_radius=Quantity(_rms_value(r, u, step), -1),
+        rms_radius=Quantity(rms, -1),
     )
-
-
-def _rms_value(r: np.ndarray, u: np.ndarray, h: float) -> float:
-    return math.sqrt(composite_simpson(r * r * u * u, h))
-
-
-def rms_radius(state: BoundState) -> Quantity:
-    """Root-mean-square radius sqrt(Int r^2 u^2 dr) of a normalized state."""
-    r = state.radii
-    h = float(r[1] - r[0])
-    return Quantity(_rms_value(r, state.u, h), -1)
 
 
 def virial_check(state: BoundState, p: RadialProblem) -> float:
@@ -294,13 +293,11 @@ def virial_check(state: BoundState, p: RadialProblem) -> float:
     return abs(2.0 * kinetic - mean_rdv) / mean_rdv
 
 
-def confinement_report(
-    *, e2_mode: str = "paper", grid_points: int = DEFAULT_GRID_POINTS
-) -> dict:
+def confinement_report(*, e2_mode: str = "paper") -> dict:
     """Solve the end-to-end confinement chain at the model defaults.
 
     Quark mass from the slope chain, potential from that mass, reduced mass
-    m/2, ground state on the default grid; the headline number is the RMS
+    m/2, ground state on the default table; the headline number is the RMS
     radius over the Compton wavelength.
     """
     e2 = fine_structure_fraction(e2_mode)
@@ -309,7 +306,7 @@ def confinement_report(
     pot = cornell_from_quark_mass(m_quark)
     mu = Quantity(m_quark.value / 2.0, 1)
     lam = compton_wavelength(m_quark)
-    problem = make_default_problem(pot, mu, lam, grid_points=grid_points)
+    problem = make_default_problem(pot, mu)
     state = solve_bound_state(problem, 1)
     ratio = state.rms_radius.value / lam.value
     return {
@@ -326,11 +323,9 @@ def confinement_report(
     }
 
 
-def confinement_ratio(
-    *, e2_mode: str = "paper", grid_points: int = DEFAULT_GRID_POINTS
-) -> float:
+def confinement_ratio(*, e2_mode: str = "paper") -> float:
     """RMS radius of the default-chain ground state over the Compton wavelength."""
-    return confinement_report(e2_mode=e2_mode, grid_points=grid_points)["ratio"]
+    return confinement_report(e2_mode=e2_mode)["ratio"]
 
 
 def bound_state_sidecar(state: BoundState, p: RadialProblem) -> dict:

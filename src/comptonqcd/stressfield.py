@@ -253,7 +253,8 @@ def radial_reduce_inverse(src: SourceDensity, r: Quantity) -> Quantity:
         E = src.total_energy.value
         if rv >= R:
             return Quantity(E / rv, 2)
-        return Quantity(E * (3.0 * R * R - rv * rv) / (2.0 * R**3), 2)
+        t = rv / R
+        return Quantity(E / R * (3.0 - t * t) / 2.0, 2)
     if rv == 0.0:
         rv = R / DEFAULT_INTERVALS
         warnings.warn(
@@ -281,8 +282,9 @@ def radial_reduce_linear(src: SourceDensity, r: Quantity) -> Quantity:
     if isinstance(src, UniformBall):
         E = src.total_energy.value
         if rv >= R:
-            return Quantity(E * (rv + R * R / (5.0 * rv)), 0)
-        return Quantity(E * (rv * rv / (2.0 * R) + 0.75 * R - rv**4 / (20.0 * R**3)), 0)
+            return Quantity(E * (rv + R * (R / rv) / 5.0), 0)
+        t = rv / R
+        return Quantity(E * R * (t * t / 2.0 + 0.75 - t**4 / 20.0), 0)
     radii, densities, split = src.radii, src.densities, min(rv, R)
     if rv == 0.0:
         total = _table_integral(radii, densities, lambda x: 4.0 * math.pi * x**3, 0.0, R)

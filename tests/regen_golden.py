@@ -73,8 +73,7 @@ CASES = [
     case("spectrum_csv_export", "spectrum", "--alpha", "0", "--sigma", "1", "--mu", "0.5",
          "--n", "2", "--grid-points", "1000", "--format", "csv", "-o", "wave.csv"),
     case("confinement_json", "confinement", "--e2-mode", "precise", "--format", "json"),
-    case("confinement_csv", "confinement", "--grid-points", "8000", "--format", "csv",
-         env="paper"),
+    case("confinement_csv", "confinement", "--format", "csv", env="paper"),
     case("regime_csv", "regime", "--ratio", "1.2", "--delta", "0.1", "--format", "csv"),
     case("regime_json", "regime", "--format", "json", config={"ratio": 2, "delta": 0.25}),
     # the coupling mode by flag, environment and config, and their precedence
@@ -96,6 +95,7 @@ CASES = [
     case("usage_config_bad_e2_mode", "derive", config={"e2_mode": "paper"}),
     case("usage_config_bad_format", "regime", config={"output_format": "xml"}),
     case("usage_field_intervals", "field", "--intervals", "512"),
+    case("usage_confinement_grid_points", "confinement", "--grid-points", "8000"),
     # computation errors: exit 1
     case("error_charge_dimension", "charge", "--d", "4"),
     case("error_potential_range", "potential", "--r-start", "5", "--r-stop", "1"),

@@ -296,6 +296,18 @@ def test_field_json_schema(capsys):
     assert payload["rows"][2]["far"] == pytest.approx((1 / 137) / 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("m_quark, code", [("1e-300", 0), ("1e300", 1)])
+def test_field_extreme_quark_mass_ends_cleanly(capsys, m_quark, code):
+    # the ball's R**3 once raised OverflowError or ZeroDivisionError here
+    got, out, err = run_cli(capsys, "field", "--m-quark", m_quark, "--points", "2",
+                            "--format", "json")
+    assert got == code
+    if code:
+        assert out == "" and err == "error: value must be finite, got inf\n"
+    else:
+        validate("field", json.loads(out))
+
+
 # --- linearize ---------------------------------------------------------------------
 
 
@@ -317,6 +329,18 @@ def test_linearize_step_outside_range_is_computation_error(capsys, step):
     assert code == 1
     assert out == ""
     assert err == "error: finite-difference step must lie in (0, 0.5)\n"
+
+
+@pytest.mark.parametrize("l_value", ["1e-300", "1e300", "1e-120"])
+@pytest.mark.parametrize("form", ["json", "table"])
+def test_linearize_extreme_separation_is_computation_error(capsys, l_value, form):
+    # l^2 once underflowed to 0 (ZeroDivisionError) or overflowed
+    # (OverflowError), and each ended in a traceback
+    code, out, err = run_cli(capsys, "linearize", "--l", l_value, "--format", form)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: l = ") and "outside float64" in err
+    assert err.count("\n") == 1
 
 
 # --- spectrum ----------------------------------------------------------------------
@@ -382,6 +406,17 @@ def test_spectrum_out_of_range_input_is_computation_error(capsys):
         assert word in err
 
 
+@pytest.mark.parametrize("flag, value, stage", [("--alpha", "1e300", "mesh Hamiltonian"),
+                                                ("--mu", "1e-300", "output table")])
+def test_spectrum_float_overflow_is_named(capsys, flag, value, stage):
+    # this once printed numpy's RuntimeWarning, then "value must be finite, got nan"
+    code, out, err = run_cli(capsys, "spectrum", flag, value, "--grid-points", "1000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: level 1: the {stage} overflows float64")
+    assert err.count("\n") == 1
+
+
 def test_output_file_matches_stdout(capsys, tmp_path):
     _, stdout_text, _ = run_cli(capsys, "derive", "--format", "csv")
     out_path = tmp_path / "derive.csv"
@@ -403,7 +438,7 @@ def test_unwritable_output_path_is_usage_error(capsys, tmp_path):
 
 
 def test_confinement_json_schema(capsys):
-    _, out, _ = run_cli(capsys, "confinement", "--format", "json", "--grid-points", "8000")
+    _, out, _ = run_cli(capsys, "confinement", "--format", "json")
     payload = json.loads(out)
     validate("confinement", payload)
     assert 0.1 <= payload["ratio"] <= 10.0

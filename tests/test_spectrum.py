@@ -26,7 +26,6 @@ from comptonqcd.spectrum import (
     cover_extent,
     make_default_problem,
     R_MIN_FACTOR,
-    rms_radius,
     solve_bound_state,
     virial_check,
     write_bound_state_csv,
@@ -232,11 +231,7 @@ def test_cover_extent_takes_the_smaller_cover():
     assert cover_extent(1.0, 1e-6, 1.0, 3, 0) == cover_extent(1.0, 0.0, 1.0, 3, 0)
     pot = CornellPotential(Quantity(1.0, 0), Quantity(1e-6, 2))
     for n in (1, 3):
-        extent = cover_extent(1.0, 1e-6, 1.0, n, 0)
-        prob = RadialProblem(
-            pot, Quantity(1.0, 1), Quantity(R_MIN_FACTOR * extent, -1), Quantity(extent, -1),
-            0, 4001,
-        )
+        prob = make_default_problem(pot, Quantity(1.0, 1), level=n, grid_points=4001)
         state = solve_bound_state(prob, n)
         assert state.nodes == n - 1
         # first order in sigma: E = -1/(2 n^2) + sigma <r>, <r> = 3 n^2 / 2
@@ -297,11 +292,8 @@ def test_random_cornell_levels(alpha, sigma, mu, ell):
     pot = CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2))
     energies = []
     for n in range(1, 6):
-        extent = cover_extent(alpha, sigma, mu, n, ell)
-        prob = RadialProblem(
-            pot, Quantity(mu, 1), Quantity(R_MIN_FACTOR * extent, -1), Quantity(extent, -1),
-            ell, 4001,
-        )
+        prob = make_default_problem(pot, Quantity(mu, 1), level=n, angular_momentum=ell,
+                                    grid_points=4001)
         state = solve_bound_state(prob, n)
         assert state.nodes == n - 1
         energy = state.energy.value
@@ -318,7 +310,6 @@ def test_random_cornell_levels(alpha, sigma, mu, ell):
 def test_hydrogen_rms_radius(hydrogen_ground):
     _, state = hydrogen_ground
     assert abs(state.rms_radius.value - math.sqrt(3.0)) <= 1e-5 * math.sqrt(3.0)
-    assert rms_radius(state).value == state.rms_radius.value
 
 
 def test_rms_halves_when_mass_doubles():
@@ -381,23 +372,30 @@ def test_radial_problem_validation():
 
 
 def test_make_default_problem_factors():
-    prob = make_default_problem(CORNELL, Quantity(1.0, 1), Quantity(2.0, -1), grid_points=2000)
-    assert prob.r_min.value == pytest.approx(2e-6)
-    assert prob.r_max.value == 80.0
-    assert prob.grid_points == 2000
+    # the default table ends where the mesh does, at the level's cover_extent
+    prob = make_default_problem(CORNELL, Quantity(1.0, 1), level=2, angular_momentum=1,
+                                grid_points=2000)
+    extent = cover_extent(1.0, 1.0, 1.0, 2, 1)
+    assert prob.r_max.value == extent
+    assert prob.r_min.value == R_MIN_FACTOR * extent
+    assert (prob.angular_momentum, prob.grid_points) == (1, 2000)
+    assert make_default_problem(CORNELL, Quantity(1.0, 1)).r_max.value == cover_extent(
+        1.0, 1.0, 1.0, 1, 0)
+    with pytest.raises(DomainError):
+        make_default_problem(CORNELL, Quantity(0.0, 1))
 
 
 # --- confinement chain --------------------------------------------------------------
 
 
 def test_confinement_ratio_is_order_unity():
-    ratio = confinement_ratio(grid_points=20000)
+    ratio = confinement_ratio()
     assert 0.1 <= ratio <= 10.0
 
 
 def test_confinement_ratio_insensitive_to_coupling_mode():
-    base = confinement_report(grid_points=12000)
-    precise = confinement_report(e2_mode="precise", grid_points=12000)
+    base = confinement_report()
+    precise = confinement_report(e2_mode="precise")
     assert abs(precise["ratio"] - base["ratio"]) / base["ratio"] < 0.01
 
 
@@ -411,7 +409,7 @@ def test_pure_coulomb_contrast_spreads_beyond_band():
 
 
 def test_confinement_report_fields():
-    report = confinement_report(grid_points=12000)
+    report = confinement_report()
     assert report["m_quark"] == 1233.0
     assert report["sigma"] == 1233.0
     assert report["reduced_mass"] == 616.5

@@ -119,7 +119,8 @@ def exact_ball_kernels(e_tot: float, big_r: float, r: float) -> tuple[Fraction, 
 
 
 def test_ball_kernels_are_exact_closed_forms():
-    for e_tot, big_r in ((1.0, 1.0), (2.0, 0.5), (0.3, 7.25)):
+    # R**3 once overflowed at R = 1e200 and underflowed to 0 at R = 1e-200
+    for e_tot, big_r in ((1.0, 1.0), (2.0, 0.5), (0.3, 7.25), (1.0, 1e-200), (1.0, 1e200)):
         ball = UniformBall(Quantity(big_r, -1), Quantity(e_tot, 1))
         # the centre, inside, the surface and outside
         for x in (0.0, 1e-3, 0.3, 0.999, 1.0, 1.001, 2.5, 40.0):

@@ -26,10 +26,9 @@ from .natunits import (
     E2_PRECISE,
     Quantity,
     compton_wavelength,
-    fine_structure_constant,
-    fine_structure_fraction,
     make_quantity,
     qarith,
+    resolve_e_squared,
 )
 from .stressfield import (
     ClampWarning,
@@ -78,7 +77,6 @@ from .spectrum import (
     make_default_problem,
     solve_bound_state,
     virial_check,
-    write_bound_state_csv,
 )
 
 __version__ = "0.1.0"

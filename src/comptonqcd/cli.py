@@ -14,12 +14,20 @@ print exactly, line endings are '\\n', and JSON keys keep a fixed order.  The
 JSON form of every subcommand validates against the schema files shipped in
 ``comptonqcd/schemas/``.
 
+Coupling mode names live only in this module: ``E2`` maps each printed mode
+name to the exact e^2 that the library takes as ``e_squared=``, and the JSON
+forms of ``derive``, ``linearize`` and ``confinement`` open with it as
+``e2_mode``.  This module also writes every output file: ``-o PATH`` writes
+the requested form to PATH, and ``spectrum --format csv -o PATH`` also writes
+the JSON form to PATH.json as a sidecar.
+
 Settings resolve in precedence order: explicit flag, then the COMPTONQCD_E2
-environment variable (for the coupling mode), then the optional JSON config
-file (``--config``), then built-in defaults.  The argparse definitions are the
-one settings table: config keys are the flags' destinations, and each config
-value must have its flag's type (a JSON integer for an int flag, any JSON
-number for a float flag, a string from the choices for a choice flag).
+environment variable (for the coupling mode: ``paper``, ``paper-137`` or
+``precise``, in any case, surrounding space allowed), then the optional JSON
+config file (``--config``), then built-in defaults.  The argparse definitions
+are the one settings table: config keys are the flags' destinations, and each
+config value must have its flag's type (a JSON integer for an int flag, any
+JSON number for a float flag, a string from the choices for a choice flag).
 Unknown keys and mistyped values are usage errors.  Exit codes: 0 success,
 1 computation error, 2 usage error or unwritable output file.
 """
@@ -27,23 +35,22 @@ Unknown keys and mistyped values are usage errors.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import functools
-import itertools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import estimator, potential as pot, spectrum as spec, stressfield as sf
 from .errors import DomainError, ToolkitError
-from .natunits import Quantity, compton_wavelength, e2_mode_label, fine_structure_fraction
+from .natunits import E2_PAPER, E2_PRECISE, Quantity, compton_wavelength
 
 __all__ = ["main", "console_main", "RunConfig", "schema_path"]
 
-E2_CHOICES = ("paper-137", "precise")
+# each coupling mode's printed name and its exact e^2
+E2 = {"paper-137": E2_PAPER, "precise": E2_PRECISE}
 FORMAT_CHOICES = ("csv", "json", "table")
 ENV_E2 = "COMPTONQCD_E2"
 
@@ -72,15 +79,14 @@ class Output:
     ``payload`` is the JSON form.  ``rows`` is the CSV header then its data
     rows, as raw values; it may be lazy, since only the printed form reads it.
     The table form aligns ``table_rows`` (default: ``rows``) under ``title``.
-    ``write_csv(path)``, when set, writes the CSV form to a file in place of
-    the generic writer.
+    With ``sidecar`` set, a CSV written to a file gets its JSON form beside it.
     """
 
     payload: dict
     rows: Iterable[Sequence]
     table_rows: Iterable[Sequence] | None = None
     title: str = ""
-    write_csv: Callable[[str], None] | None = None
+    sidecar: bool = False
 
 
 def fmt(x: float) -> str:
@@ -104,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compton-scale confinement toolkit in natural units (hbar=c=1, m_e=1).",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--e2-mode", choices=E2_CHOICES, default=None, dest="e2_mode",
+    common.add_argument("--e2-mode", choices=tuple(E2), default=None, dest="e2_mode",
                         help="coupling mode: exact 1/137 (default) or 1/137.035999")
     common.add_argument("--format", choices=FORMAT_CHOICES, default=None, dest="output_format",
                         help="output form (per-subcommand default)")
@@ -219,9 +225,10 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     e2_mode = settings.pop("e2_mode", "paper-137")
     raw_env = os.environ.get(ENV_E2)
     if args.e2_mode is None and raw_env is not None:
-        try:
-            e2_mode = e2_mode_label(raw_env)
-        except DomainError:
+        e2_mode = raw_env.strip().lower()
+        if e2_mode == "paper":
+            e2_mode = "paper-137"
+        if e2_mode not in E2:
             parser.error(f"{ENV_E2} must be 'paper' or 'precise', got {raw_env!r}")
     return RunConfig(
         command=args.command,
@@ -247,9 +254,11 @@ def _columns(records: list[dict]) -> list:
 
 
 def _run_derive(cfg: RunConfig) -> Output:
-    report = estimator.derivation_report(cfg.e2_mode)
-    return Output(report, estimator.render_report_csv_rows(report),
-                  title=f"e2 mode: {report['e2_mode']}\n")
+    steps = estimator.derivation_report(e_squared=E2[cfg.e2_mode])["steps"]
+    columns = ("step", "quantity", "value", "units", "paper_eq")
+    rows = [columns, *([step[key] for key in columns] for step in steps)]
+    return Output({"e2_mode": cfg.e2_mode, "steps": steps}, rows,
+                  title=f"e2 mode: {cfg.e2_mode}\n")
 
 
 def _run_charge(cfg: RunConfig) -> Output:
@@ -295,7 +304,7 @@ def _run_field(cfg: RunConfig) -> Output:
     src = sf.default_source(m)
     lam = compton_wavelength(m)
     radii = _sample_range(opts, 0.1 * lam.value, 10.0 * lam.value)
-    e2 = fine_structure_fraction(cfg.e2_mode)
+    e2 = E2[cfg.e2_mode]
     rows = []
     for r in radii:
         rq = Quantity(r, -1)
@@ -320,7 +329,7 @@ def _run_linearize(cfg: RunConfig) -> Output:
     step = opts.get("step", 1e-4)
     if not 0.0 < step < 0.5:
         raise ToolkitError("finite-difference step must lie in (0, 0.5)")
-    e2 = fine_structure_fraction(cfg.e2_mode)
+    e2 = E2[cfg.e2_mode]
     sep = Quantity(l_value, -1)
     proton = pot.proton_configuration(sep)
 
@@ -347,8 +356,12 @@ def _run_linearize(cfg: RunConfig) -> Output:
         pair_slope = abs(pair_energy(step) - pair_energy(-step)) / (2.0 * step) / l_value
         declared = pot.confinement_slope(sep, e_squared=e2)
         ratio = pair_slope / declared.value
-        # float arithmetic past the float64 range either raises or returns inf
-        if not all(map(math.isfinite, (first, second_ax, second_tr, pair_slope, ratio))):
+        # float arithmetic past the float64 range raises, returns inf or, for
+        # a value that is non-zero in exact arithmetic, a subnormal or zero;
+        # the first derivative alone is zero by symmetry
+        if not math.isfinite(first) or not all(
+                sys.float_info.min <= abs(value) < math.inf
+                for value in (second_ax, second_tr, pair_slope, declared.value, ratio)):
             raise OverflowError
     except ArithmeticError as exc:
         raise DomainError(f"l = {l_value:g} puts a derivative or the slope outside float64") from exc
@@ -364,6 +377,12 @@ def _run_linearize(cfg: RunConfig) -> Output:
         "pair_to_declared_ratio": ratio,
     }
     return Output({"e2_mode": cfg.e2_mode, **values}, _record(values))
+
+
+def _wave_rows(state: spec.BoundState) -> Iterator[Sequence]:
+    """The r,u table as Python floats; a generator, so the JSON form never builds it."""
+    yield ("r", "u")
+    yield from zip(state.radii.tolist(), state.u.tolist())
 
 
 def _run_spectrum(cfg: RunConfig) -> Output:
@@ -383,16 +402,11 @@ def _run_spectrum(cfg: RunConfig) -> Output:
     problem = replace(problem, **bounds)
     state = spec.solve_bound_state(problem, n)
     payload = spec.bound_state_sidecar(state, problem)
-    return Output(
-        payload,
-        itertools.chain([("r", "u")], zip(state.radii, state.u)),
-        table_rows=_record(payload),
-        write_csv=functools.partial(spec.write_bound_state_csv, state, problem),
-    )
+    return Output(payload, _wave_rows(state), table_rows=_record(payload), sidecar=True)
 
 
 def _run_confinement(cfg: RunConfig) -> Output:
-    report = spec.confinement_report(e2_mode=cfg.e2_mode)
+    report = {"e2_mode": cfg.e2_mode, **spec.confinement_report(e_squared=E2[cfg.e2_mode])}
     return Output(report, _record(report))
 
 
@@ -440,12 +454,13 @@ def main(argv: list[str] | None = None) -> int:
     if not cfg.output_path:
         sys.stdout.write(_render(out, cfg.output_format))
         return 0
+    forms = {cfg.output_path: cfg.output_format}
+    if out.sidecar and cfg.output_format == "csv":
+        forms[cfg.output_path + ".json"] = "json"
     try:
-        if cfg.output_format == "csv" and out.write_csv is not None:
-            out.write_csv(cfg.output_path)
-        else:
-            with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(_render(out, cfg.output_format))
+        for path, output_format in forms.items():
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(_render(out, output_format))
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,7 @@ k = 1/9 (the three-quark line) and e^2 = 1/137 this lands on 1233 m_e, and
 with k = 1 on 137 m_e per fermion, 274 m_e for a two-fermion state.
 
 All masses are exact rationals derived from the stored fields, so the chain
-reproduces bit for bit in the default coupling mode.
+reproduces bit for bit at the default coupling e^2 = 1/137.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DomainError
-from .natunits import (
-    Quantity,
-    e2_mode_label,
-    fine_structure_fraction,
-    resolve_e_squared,
-)
+from .natunits import Quantity, resolve_e_squared
 from .potential import charge_fraction
 
 __all__ = [
@@ -34,7 +29,6 @@ __all__ = [
     "order_of_magnitude_ok",
     "classify_regime",
     "derivation_report",
-    "render_report_csv_rows",
     "format_exact",
 ]
 
@@ -54,7 +48,6 @@ class MassEstimate:
     slope_coefficient: Fraction
     e_squared: Fraction
     fermions: int = 1
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         if self.slope_coefficient <= 0:
@@ -78,20 +71,17 @@ def effective_mass_from_slope(
     *,
     e_squared: Fraction | float | None = None,
     fermions: int = 1,
-    provenance: str = "slope-match",
 ) -> MassEstimate:
     """Mass m_e / (k * e^2) implied by a linear slope coefficient k."""
     coeff = k if isinstance(k, Fraction) else Fraction(k)
     if coeff <= 0:
         raise DomainError(f"slope coefficient must be positive, got {k}")
-    return MassEstimate(coeff, resolve_e_squared(e_squared), fermions, provenance)
+    return MassEstimate(coeff, resolve_e_squared(e_squared), fermions)
 
 
 def quark_mass_estimate(*, e_squared: Fraction | float | None = None) -> MassEstimate:
-    """Quark mass from the k = 1/9 slope: 9/e^2 = 1233 m_e in the default mode."""
-    return effective_mass_from_slope(
-        QUARK_SLOPE_COEFFICIENT, e_squared=e_squared, provenance="quark"
-    )
+    """Quark mass from the k = 1/9 slope: 9/e^2 = 1233 m_e at e^2 = 1/137."""
+    return effective_mass_from_slope(QUARK_SLOPE_COEFFICIENT, e_squared=e_squared)
 
 
 def pion_mass_estimate(
@@ -102,7 +92,7 @@ def pion_mass_estimate(
     ``fermions=1`` gives the single-fermion value 137 m_e.
     """
     return effective_mass_from_slope(
-        PION_SLOPE_COEFFICIENT, e_squared=e_squared, fermions=fermions, provenance="pion"
+        PION_SLOPE_COEFFICIENT, e_squared=e_squared, fermions=fermions
     )
 
 
@@ -161,15 +151,14 @@ def format_exact(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def derivation_report(e2_mode: str = "paper") -> dict:
-    """The full derivation chain as an ordered report.
+def derivation_report(*, e_squared: Fraction | float | None = None) -> dict:
+    """The full derivation chain at coupling e^2 (default 1/137) as an ordered report.
 
-    Returns {"e2_mode": ..., "steps": [...]} where each step carries the step
-    index, a human-readable quantity, the exact value string, a float view
-    (null for flags), the units, and a short tag naming the relation used
-    (the ``paper_eq`` column of the CSV form).
+    Returns {"steps": [...]} where each step carries the step index, a
+    human-readable quantity, the exact value string, a float view (null for
+    flags), the units, and a short tag naming the relation used.
     """
-    e2 = fine_structure_fraction(e2_mode)
+    e2 = resolve_e_squared(e_squared)
     quark = quark_mass_estimate(e_squared=e2)
     pion_single = pion_mass_estimate(e_squared=e2, fermions=1)
     pion = pion_mass_estimate(e_squared=e2)
@@ -191,7 +180,7 @@ def derivation_report(e2_mode: str = "paper") -> dict:
         _step(7, "single-fermion mass", pion_single.mass_fraction, "m_e", "compton-edge"),
         _step(8, "pion mass (two fermions)", pion.mass_fraction, "m_e", "compton-edge"),
     ]
-    return {"e2_mode": e2_mode_label(e2_mode), "steps": steps}
+    return {"steps": steps}
 
 
 def _step(idx: int, quantity: str, value: Fraction, units: str, tag: str) -> dict:
@@ -203,13 +192,3 @@ def _step(idx: int, quantity: str, value: Fraction, units: str, tag: str) -> dic
         "units": units,
         "paper_eq": tag,
     }
-
-
-def render_report_csv_rows(report: dict) -> list[list[str]]:
-    """Rows for the CSV form, header first: step,quantity,value,units,paper_eq."""
-    rows = [["step", "quantity", "value", "units", "paper_eq"]]
-    for step in report["steps"]:
-        rows.append(
-            [str(step["step"]), step["quantity"], step["value"], step["units"], step["paper_eq"]]
-        )
-    return rows

@@ -6,9 +6,10 @@ The electron mass is the base scale, so masses are reported in units of m_e
 and lengths in units of the electron Compton wavelength.
 
 The squared electromagnetic coupling e^2 is kept as an exact rational.  The
-default is exactly 1/137 so that derived integer mass ratios (137, 274, 1233)
-reproduce without float drift; an opt-in precise mode uses 1/137.035999 for
-sensitivity checks.
+default E2_PAPER is exactly 1/137 so that derived integer mass ratios (137,
+274, 1233) reproduce without float drift; passing ``e_squared=E2_PRECISE``
+(1/137.035999) to any function that takes a coupling gives the sensitivity
+check.
 """
 
 from __future__ import annotations
@@ -25,38 +26,13 @@ __all__ = [
     "make_quantity",
     "qarith",
     "compton_wavelength",
-    "fine_structure_constant",
-    "fine_structure_fraction",
     "resolve_e_squared",
-    "normalize_e2_mode",
-    "e2_mode_label",
     "E2_PAPER",
     "E2_PRECISE",
 ]
 
 E2_PAPER = Fraction(1, 137)
 E2_PRECISE = Fraction(1_000_000, 137_035_999)  # exactly 1/137.035999
-
-_E2_BY_MODE = {
-    "paper": E2_PAPER,
-    "paper-137": E2_PAPER,
-    "precise": E2_PRECISE,
-}
-
-
-def normalize_e2_mode(mode: str) -> str:
-    """Map accepted mode spellings onto the canonical 'paper' / 'precise'."""
-    key = mode.strip().lower()
-    if key in ("paper", "paper-137"):
-        return "paper"
-    if key == "precise":
-        return "precise"
-    raise DomainError(f"unknown e2 mode {mode!r} (expected 'paper-137' or 'precise')")
-
-
-def e2_mode_label(mode: str) -> str:
-    """The printed name of an accepted mode spelling: 'paper-137' or 'precise'."""
-    return "paper-137" if normalize_e2_mode(mode) == "paper" else "precise"
 
 
 @dataclass(frozen=True)
@@ -152,16 +128,6 @@ def compton_wavelength(m: Quantity) -> Quantity:
     if m.value <= 0.0:
         raise InvalidMass(f"mass must be positive, got {m.value}")
     return Quantity(1.0 / m.value, -1)
-
-
-def fine_structure_fraction(mode: str = "paper") -> Fraction:
-    """e^2 as an exact rational: 1/137 by default, 1/137.035999 in precise mode."""
-    return _E2_BY_MODE[normalize_e2_mode(mode)]
-
-
-def fine_structure_constant(mode: str = "paper") -> Quantity:
-    """e^2 as a dimensionless Quantity (float view of the exact rational)."""
-    return Quantity(float(fine_structure_fraction(mode)), 0)
 
 
 def resolve_e_squared(e_squared: Fraction | float | int | None) -> Fraction:

@@ -19,14 +19,14 @@ Solves are deterministic and repeat bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, GridTooSmall, NoBoundState
 from .estimator import quark_mass_estimate
-from .natunits import Quantity, compton_wavelength, e2_mode_label, fine_structure_fraction
+from .natunits import Quantity, compton_wavelength
 from .potential import CornellPotential, cornell_from_quark_mass
 from .quadrature import composite_simpson
 
@@ -44,7 +44,6 @@ __all__ = [
     "confinement_ratio",
     "confinement_report",
     "make_default_problem",
-    "write_bound_state_csv",
     "bound_state_sidecar",
     "DEFAULT_GRID_POINTS",
     "R_MIN_FACTOR",
@@ -293,16 +292,14 @@ def virial_check(state: BoundState, p: RadialProblem) -> float:
     return abs(2.0 * kinetic - mean_rdv) / mean_rdv
 
 
-def confinement_report(*, e2_mode: str = "paper") -> dict:
-    """Solve the end-to-end confinement chain at the model defaults.
+def confinement_report(*, e_squared: Fraction | float | None = None) -> dict:
+    """Solve the end-to-end confinement chain at coupling e^2 (default 1/137).
 
     Quark mass from the slope chain, potential from that mass, reduced mass
     m/2, ground state on the default table; the headline number is the RMS
     radius over the Compton wavelength.
     """
-    e2 = fine_structure_fraction(e2_mode)
-    estimate = quark_mass_estimate(e_squared=e2)
-    m_quark = estimate.mass
+    m_quark = quark_mass_estimate(e_squared=e_squared).mass
     pot = cornell_from_quark_mass(m_quark)
     mu = Quantity(m_quark.value / 2.0, 1)
     lam = compton_wavelength(m_quark)
@@ -310,7 +307,6 @@ def confinement_report(*, e2_mode: str = "paper") -> dict:
     state = solve_bound_state(problem, 1)
     ratio = state.rms_radius.value / lam.value
     return {
-        "e2_mode": e2_mode_label(e2_mode),
         "m_quark": m_quark.value,
         "alpha": pot.alpha.value,
         "sigma": pot.sigma.value,
@@ -323,9 +319,9 @@ def confinement_report(*, e2_mode: str = "paper") -> dict:
     }
 
 
-def confinement_ratio(*, e2_mode: str = "paper") -> float:
+def confinement_ratio(*, e_squared: Fraction | float | None = None) -> float:
     """RMS radius of the default-chain ground state over the Compton wavelength."""
-    return confinement_report(e2_mode=e2_mode)["ratio"]
+    return confinement_report(e_squared=e_squared)["ratio"]
 
 
 def bound_state_sidecar(state: BoundState, p: RadialProblem) -> dict:
@@ -343,15 +339,3 @@ def bound_state_sidecar(state: BoundState, p: RadialProblem) -> dict:
         "r_min": p.r_min.value,
         "r_max": p.r_max.value,
     }
-
-
-def write_bound_state_csv(state: BoundState, p: RadialProblem, path: str) -> None:
-    """Write the wavefunction table as ``r,u`` CSV plus a ``.json`` sidecar."""
-    lines = ["r,u"]
-    for rv, uv in zip(state.radii, state.u):
-        lines.append(f"{rv:.10g},{uv:.10g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(path + ".json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(bound_state_sidecar(state, p), fh, indent=2)
-        fh.write("\n")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,11 +94,6 @@ class UniformBall:
             raise InvalidSource("support radius must be positive")
         if self.total_energy.value <= 0.0:
             raise InvalidSource("total energy must be positive")
-
-    @property
-    def density(self) -> float:
-        r = self.support_radius.value
-        return 3.0 * self.total_energy.value / (4.0 * math.pi * r**3)
 
 
 @dataclass(frozen=True)
@@ -303,14 +299,23 @@ def near_field_potential(src: SourceDensity, m: Quantity, r: Quantity) -> Quanti
 
     The m^2 factor on the linear term models the second time derivative of
     the source through the Compton-frequency substitution; the additive
-    constant terms carry no r dependence and are dropped.
+    constant terms carry no r dependence and are dropped.  Every factor is
+    positive, so one that float64 holds only as a subnormal or zero raises
+    :class:`DomainError`.
     """
     _check_energy(m, "m")
     if m.value <= 0.0:
         raise DomainError("mass must be positive")
     inv = radial_reduce_inverse(src, r)
     lin = radial_reduce_linear(src, r)
-    return 4.0 * (m * inv) + 2.0 * (m**3 * lin)
+    inverse_term = 4.0 * (m * inv)
+    cube = m**3
+    linear_term = 2.0 * (cube * lin)
+    if min(inv.value, lin.value, cube.value, inverse_term.value,
+           linear_term.value) < sys.float_info.min:
+        raise DomainError(f"the near field at m = {m.value:g}, r = {r.value:g} "
+                          "underflows float64")
+    return inverse_term + linear_term
 
 
 def far_field_coupling(

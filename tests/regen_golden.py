@@ -101,6 +101,10 @@ CASES = [
     case("error_potential_range", "potential", "--r-start", "5", "--r-stop", "1"),
     case("error_spectrum_mass", "spectrum", "--sigma", "1", "--mu", "0"),
     case("error_linearize_step", "linearize", "--step", "0.5"),
+    # float64 underflow of a value that is non-zero in exact arithmetic: exit 1
+    case("error_linearize_underflow", "linearize", "--l", "1e150"),
+    case("error_field_underflow", "field", "--m-quark", "1e-300", "--points", "2"),
+    case("error_field_subnormal", "field", "--m-quark", "1e-105", "--points", "2"),
 ]
 
 

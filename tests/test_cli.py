@@ -1,5 +1,7 @@
 """Subcommand behaviour: outputs, formats, schemas, precedence, exit codes."""
 
+import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -9,6 +11,9 @@ from jsonschema import Draft202012Validator
 
 from comptonqcd.cli import main, schema_path
 from comptonqcd.spectrum import cover_extent
+
+LIBRARY = ("comptonqcd", *(f"comptonqcd.{name}" for name in (
+    "natunits", "potential", "estimator", "quadrature", "spectrum", "stressfield")))
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +109,30 @@ def test_bad_env_value_is_usage_error(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["derive"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("spelling, label", [("paper", "paper-137"), ("Paper-137", "paper-137"),
+                                             (" PRECISE ", "precise"), ("codata", None)])
+def test_env_mode_spellings(capsys, monkeypatch, spelling, label):
+    monkeypatch.setenv("COMPTONQCD_E2", spelling)
+    if label is None:
+        with pytest.raises(SystemExit) as exc:
+            main(["derive"])
+        assert exc.value.code == 2
+        assert "COMPTONQCD_E2 must be 'paper' or 'precise'" in capsys.readouterr().err
+    else:
+        _, out, _ = run_cli(capsys, "confinement", "--format", "json")
+        assert json.loads(out)["e2_mode"] == label
+
+
+def test_only_the_cli_knows_mode_names():
+    # the library chooses the coupling by e_squared= alone
+    for name in LIBRARY:
+        for attr, obj in vars(importlib.import_module(name)).items():
+            if (not attr.startswith("_") and callable(obj)
+                    and getattr(obj, "__module__", "").startswith("comptonqcd")
+                    and not (isinstance(obj, type) and issubclass(obj, Exception))):
+                assert "e2_mode" not in inspect.signature(obj).parameters, f"{name}.{attr}"
 
 
 # --- config file ----------------------------------------------------------------
@@ -296,16 +325,23 @@ def test_field_json_schema(capsys):
     assert payload["rows"][2]["far"] == pytest.approx((1 / 137) / 2.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("m_quark, code", [("1e-300", 0), ("1e300", 1)])
+@pytest.mark.parametrize("m_quark, code", [("1e300", 1)])
 def test_field_extreme_quark_mass_ends_cleanly(capsys, m_quark, code):
-    # the ball's R**3 once raised OverflowError or ZeroDivisionError here
+    # the ball's R**3 once raised ZeroDivisionError here
     got, out, err = run_cli(capsys, "field", "--m-quark", m_quark, "--points", "2",
                             "--format", "json")
     assert got == code
-    if code:
-        assert out == "" and err == "error: value must be finite, got inf\n"
-    else:
-        validate("field", json.loads(out))
+    assert out == "" and err == "error: value must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("m_quark, r", [("1e-300", "1e+299"), ("1e-110", "1e+109"),
+                                        ("1e-105", "1e+104")])
+def test_field_near_field_underflow_is_computation_error(capsys, m_quark, r):
+    # these once printed near = 0 on every row, or a subnormal 7.49e-315
+    code, out, err = run_cli(capsys, "field", "--m-quark", m_quark, "--points", "2")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: the near field at m = {m_quark}, r = {r} underflows float64\n"
 
 
 # --- linearize ---------------------------------------------------------------------
@@ -331,11 +367,12 @@ def test_linearize_step_outside_range_is_computation_error(capsys, step):
     assert err == "error: finite-difference step must lie in (0, 0.5)\n"
 
 
-@pytest.mark.parametrize("l_value", ["1e-300", "1e300", "1e-120"])
+@pytest.mark.parametrize("l_value", ["1e-300", "1e300", "1e-120", "1e150"])
 @pytest.mark.parametrize("form", ["json", "table"])
 def test_linearize_extreme_separation_is_computation_error(capsys, l_value, form):
     # l^2 once underflowed to 0 (ZeroDivisionError) or overflowed
-    # (OverflowError), and each ended in a traceback
+    # (OverflowError), and each ended in a traceback; at l = 1e150 the
+    # curvatures once printed as -0 and 0
     code, out, err = run_cli(capsys, "linearize", "--l", l_value, "--format", form)
     assert code == 1
     assert out == ""
@@ -370,6 +407,15 @@ def test_spectrum_csv_with_sidecar(capsys, tmp_path):
     sidecar = json.loads((tmp_path / "wave.csv.json").read_text(encoding="utf-8"))
     validate("spectrum", sidecar)
     assert sidecar["nodes"] == 1
+
+
+def test_spectrum_sidecar_is_the_json_form(capsys, tmp_path):
+    argv = ["spectrum", "--sigma", "1", "--mu", "0.5", "--n", "3", "--grid-points", "2000"]
+    _, json_text, _ = run_cli(capsys, *argv, "--format", "json")
+    _, csv_text, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert run_cli(capsys, *argv, "--format", "csv", "-o", str(tmp_path / "w.csv"))[0] == 0
+    assert (tmp_path / "w.csv").read_bytes() == csv_text.encode("utf-8")
+    assert (tmp_path / "w.csv.json").read_bytes() == json_text.encode("utf-8")
 
 
 def test_spectrum_returns_the_requested_level(capsys):

@@ -16,7 +16,6 @@ from comptonqcd.estimator import (
     order_of_magnitude_ok,
     pion_mass_estimate,
     quark_mass_estimate,
-    render_report_csv_rows,
 )
 from comptonqcd.natunits import E2_PRECISE
 
@@ -141,7 +140,7 @@ def test_format_exact():
 
 def test_derivation_report_contents():
     report = derivation_report()
-    assert report["e2_mode"] == "paper-137"
+    assert list(report) == ["steps"]
     by_tag = {step["quantity"]: step for step in report["steps"]}
     assert by_tag["quark mass"]["value"] == "1233"
     assert by_tag["pion mass (two fermions)"]["value"] == "274"
@@ -154,14 +153,7 @@ def test_derivation_report_contents():
 
 
 def test_derivation_report_precise_mode():
-    report = derivation_report("precise")
+    report = derivation_report(e_squared=E2_PRECISE)
     by_tag = {step["quantity"]: step for step in report["steps"]}
     assert by_tag["quark mass"]["value"] == "1233.323991"
     assert by_tag["pion mass (two fermions)"]["value"] == "274.071998"
-
-
-def test_report_renderers():
-    report = derivation_report()
-    rows = render_report_csv_rows(report)
-    assert rows[0] == ["step", "quantity", "value", "units", "paper_eq"]
-    assert any("1233" in row for row in rows[1:] for row in [row[2]])

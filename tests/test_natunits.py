@@ -19,11 +19,7 @@ from comptonqcd.natunits import (
     E2_PRECISE,
     Quantity,
     compton_wavelength,
-    e2_mode_label,
-    fine_structure_constant,
-    fine_structure_fraction,
     make_quantity,
-    normalize_e2_mode,
     qarith,
     resolve_e_squared,
 )
@@ -139,38 +135,23 @@ def test_compton_rejects_nonpositive_and_wrong_dim():
 
 
 def test_fine_structure_default_is_exact():
-    frac = fine_structure_fraction()
+    frac = resolve_e_squared(None)
+    assert frac is E2_PAPER
     assert frac == Fraction(1, 137)
     assert frac * 137 == 1
-    assert fine_structure_constant().value == pytest.approx(7.2993e-3, rel=1e-4)
-    assert fine_structure_constant().dim == 0
+    assert float(frac) == pytest.approx(7.2993e-3, rel=1e-4)
 
 
 def test_fine_structure_precise_mode():
-    frac = fine_structure_fraction("precise")
+    frac = resolve_e_squared(E2_PRECISE)
     assert frac == Fraction(1_000_000, 137_035_999)
-    val = fine_structure_constant("precise").value
+    val = float(frac)
     assert val == pytest.approx(7.29735e-3, rel=1e-5)
     assert abs(val * 137.035999 - 1.0) < 1e-12
 
 
 def test_nine_over_e_squared_is_1233():
     assert Fraction(9) / E2_PAPER == 1233
-
-
-def test_mode_spellings():
-    assert normalize_e2_mode("paper-137") == "paper"
-    assert normalize_e2_mode("PRECISE") == "precise"
-    with pytest.raises(DomainError):
-        normalize_e2_mode("codata")
-
-
-def test_mode_labels():
-    for spelling in ("paper", "paper-137", " Paper "):
-        assert e2_mode_label(spelling) == "paper-137"
-    assert e2_mode_label("PRECISE") == "precise"
-    with pytest.raises(DomainError):
-        e2_mode_label("codata")
 
 
 def test_resolve_e_squared():

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from comptonqcd import spectrum
+from comptonqcd.cli import main
 from comptonqcd.errors import DomainError, GridTooSmall, NoBoundState
-from comptonqcd.natunits import Quantity
+from comptonqcd.natunits import E2_PRECISE, Quantity
 from comptonqcd.potential import CornellPotential
 from comptonqcd.spectrum import (
     BoundState,
@@ -28,7 +29,6 @@ from comptonqcd.spectrum import (
     R_MIN_FACTOR,
     solve_bound_state,
     virial_check,
-    write_bound_state_csv,
 )
 
 # --- independent Airy oracle --------------------------------------------------
@@ -395,7 +395,7 @@ def test_confinement_ratio_is_order_unity():
 
 def test_confinement_ratio_insensitive_to_coupling_mode():
     base = confinement_report()
-    precise = confinement_report(e2_mode="precise")
+    precise = confinement_report(e_squared=E2_PRECISE)
     assert abs(precise["ratio"] - base["ratio"]) / base["ratio"] < 0.01
 
 
@@ -410,6 +410,7 @@ def test_pure_coulomb_contrast_spreads_beyond_band():
 
 def test_confinement_report_fields():
     report = confinement_report()
+    assert "e2_mode" not in report
     assert report["m_quark"] == 1233.0
     assert report["sigma"] == 1233.0
     assert report["reduced_mass"] == 616.5
@@ -421,12 +422,17 @@ def test_confinement_report_fields():
 
 
 def test_bound_state_export_round_trip(tmp_path, linear_ground):
+    # the CLI export of the same problem holds the table and the library's sidecar
     prob, state = linear_ground
     path = tmp_path / "state.csv"
-    write_bound_state_csv(state, prob, str(path))
+    assert main(["spectrum", "--alpha", "0", "--sigma", "1", "--mu", "0.5", "--n", "1",
+                 "--r-min", "1e-7", "--r-max", "14", "--grid-points", "8001",
+                 "--format", "csv", "-o", str(path)]) == 0
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "r,u"
     assert len(lines) == prob.grid_points + 1
+    table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert np.allclose(table, np.column_stack([state.radii, state.u]), rtol=1e-9, atol=0.0)
     sidecar = json.loads((tmp_path / "state.csv.json").read_text(encoding="utf-8"))
     assert sidecar == bound_state_sidecar(state, prob)
     assert sidecar["n"] == 1 and sidecar["nodes"] == 0

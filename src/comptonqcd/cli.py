@@ -358,10 +358,11 @@ def _run_linearize(cfg: RunConfig) -> Output:
         ratio = pair_slope / declared.value
         # float arithmetic past the float64 range raises, returns inf or, for
         # a value that is non-zero in exact arithmetic, a subnormal or zero;
-        # the first derivative alone is zero by symmetry
+        # the first derivative alone is zero by symmetry, and confinement_slope
+        # checks the declared slope itself
         if not math.isfinite(first) or not all(
                 sys.float_info.min <= abs(value) < math.inf
-                for value in (second_ax, second_tr, pair_slope, declared.value, ratio)):
+                for value in (second_ax, second_tr, pair_slope, ratio)):
             raise OverflowError
     except ArithmeticError as exc:
         raise DomainError(f"l = {l_value:g} puts a derivative or the slope outside float64") from exc
@@ -468,4 +469,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
+    """Entry point of ``comptonqcd`` and ``python -m comptonqcd``.
+
+    One process makes one small eigensolve (at most a few hundred points), for
+    which numpy's OpenBLAS worker thread only spins after the call returns and
+    costs CPU the main thread never needs.  OpenBLAS reads its thread count
+    when numpy loads, which no import of this package does, so the default set
+    here reaches the first solve; a value already in the environment wins.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     raise SystemExit(main())

@@ -133,11 +133,14 @@ def compton_wavelength(m: Quantity) -> Quantity:
 def resolve_e_squared(e_squared: Fraction | float | int | None) -> Fraction:
     """Normalize an optional e^2 override to an exact rational.
 
-    None selects the default 1/137.  Floats convert exactly (every float is a
-    dyadic rational), so an explicit float override stays reproducible.
+    None selects the default 1/137.  Floats convert exactly (every finite
+    float is a dyadic rational), so an explicit float override stays
+    reproducible; nan and infinities raise :class:`DomainError`.
     """
     if e_squared is None:
         return E2_PAPER
+    if isinstance(e_squared, float) and not math.isfinite(e_squared):
+        raise DomainError(f"e^2 must be finite, got {e_squared}")
     frac = e_squared if isinstance(e_squared, Fraction) else Fraction(e_squared)
     if frac <= 0:
         raise DomainError(f"e^2 must be positive, got {e_squared}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -233,12 +234,20 @@ def confinement_slope(
     """Declared linear coefficient e^2 / (9 l^2) for the three-quark line.
 
     Taken as given for the model chain; the exact Coulomb expansion of the
-    same configuration has no linear term (see module docstring).
+    same configuration has no linear term (see module docstring).  The exact
+    value is positive, so one that float64 holds only as a subnormal, zero or
+    overflow raises :class:`DomainError`.
     """
     if separation.dim != -1 or separation.value <= 0.0:
         raise DomainError("separation must be a positive length (dim -1)")
     e2 = resolve_e_squared(e_squared)
-    value = float(e2 / 9 / Fraction(separation.value) ** 2)
+    try:
+        value = float(e2 / 9 / Fraction(separation.value) ** 2)
+    except OverflowError:
+        value = math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise DomainError(f"l = {separation.value:g} puts the declared slope "
+                          "e^2/(9 l^2) outside float64")
     return Quantity(value, 2)
 
 

@@ -14,7 +14,9 @@ r_min, r_max and grid_points only set the output table, on which u is
 evaluated, normalized with composite Simpson and its RMS radius taken;
 :func:`make_default_problem` ends it where the mesh ends.  The solve checks
 that the table shows n - 1 nodes and holds all but 1e-6 of the probability.
-Solves are deterministic and repeat bit for bit.
+Solves are deterministic and repeat bit for bit.  The BLAS thread count is
+the caller's choice: this module leaves it to numpy's defaults and the
+environment, and only the ``comptonqcd`` command sets one thread.
 """
 
 from __future__ import annotations

@@ -3,12 +3,14 @@
 import importlib
 import inspect
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 from jsonschema import Draft202012Validator
 
+from comptonqcd import cli
 from comptonqcd.cli import main, schema_path
 from comptonqcd.spectrum import cover_extent
 
@@ -525,11 +527,28 @@ def test_module_invocation_byte_identical():
     assert b"\r" not in first.stdout
 
 
+@pytest.mark.parametrize("preset, threads", [(None, "1"), ("4", "4")])
+def test_console_main_defaults_blas_to_one_thread(monkeypatch, capsys, preset, threads):
+    # setenv before delenv, so that monkeypatch restores the variable either way
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset")
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    monkeypatch.setattr(sys, "argv", ["comptonqcd", "charge"])
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "1\n"
+    assert os.environ["OPENBLAS_NUM_THREADS"] == threads
+
+
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
-import comptonqcd.cli as cli
+import comptonqcd, comptonqcd.cli as cli
 layers = ("cli", "potential", "estimator", "spectrum", "stressfield", "quadrature")
-report = {"unloaded": [m for m in layers if f"comptonqcd.{m}" not in sys.modules], "codes": []}
+report = {"unloaded": [m for m in layers if f"comptonqcd.{m}" not in sys.modules], "codes": [],
+          "numpy_after_import": "numpy" in sys.modules}
 for command in ("derive", "charge", "potential", "linearize", "regime", "field"):
     for form in ("json", "csv", "table"):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -549,6 +568,10 @@ def test_exact_subcommands_and_field_do_not_import_numpy():
                           capture_output=True, text=True, check=True)
     report = json.loads(done.stdout)
     assert report["unloaded"] == []
+    # OpenBLAS reads its thread count once, when numpy loads: console_main's
+    # one-thread default reaches the eigensolver only if importing the package
+    # and the CLI leaves numpy unloaded
+    assert report["numpy_after_import"] is False
     assert report["codes"] == [0] * 19
     assert report["numpy_after_exact"] is False
     assert report["numpy_after_spectrum"] is True

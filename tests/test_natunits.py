@@ -161,3 +161,10 @@ def test_resolve_e_squared():
     assert resolve_e_squared(E2_PRECISE) == E2_PRECISE
     with pytest.raises(DomainError):
         resolve_e_squared(-1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_resolve_e_squared_rejects_non_finite(value):
+    # nan once raised a bare ValueError and the infinities an OverflowError
+    with pytest.raises(DomainError, match=f"^e\\^2 must be finite, got {value}$"):
+        resolve_e_squared(value)

@@ -228,6 +228,14 @@ def test_confinement_slope_values():
     assert confinement_slope(Quantity(1.0, -1)).dim == 2
 
 
+@pytest.mark.parametrize("l_value", [1e160, 1e170, 1e-160])
+def test_confinement_slope_outside_float64_is_domain_error(l_value):
+    # these once returned the subnormal 1e-323, returned 0.0 and raised a bare
+    # OverflowError from Fraction.__float__
+    with pytest.raises(DomainError, match="declared slope .* outside float64"):
+        confinement_slope(Quantity(l_value, -1))
+
+
 def test_single_pair_slope_is_twice_declared():
     l = 1.0
     sep = Quantity(l, -1)

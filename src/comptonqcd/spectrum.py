@@ -7,13 +7,17 @@ Lagrange–Laguerre mesh (D. Baye, "The Lagrange-mesh method", Phys. Rep. 565,
 vanish like r at the origin.  In the Gauss approximation
 H = T / (2 mu h^2) + diag(V_eff(h x_i)) with T in closed form, and one
 ``numpy.linalg.eigh`` gives every level.  The mesh has N = 50 + 4n points and
-ends at :func:`cover_extent`, the outer turning point of level n plus 15
-decay lengths.
+ends at :func:`cover_extent`, the outer turning point of level n plus at
+least 15 decay lengths.
 
-r_min, r_max and grid_points only set the output table, on which u is
-evaluated, normalized with composite Simpson and its RMS radius taken;
+The same Gauss approximation gives every expectation value as a sum
+sum_j c_j^2 f(r_j) over the eigenvector c: the RMS radius here and the
+virial residual in :func:`virial_check`.  As u(r_j) has the sign of c_j, the
+node count is the number of sign changes of c_j; the solve checks that it is
+n - 1.  r_min, r_max and grid_points only set the output table, on which u is
+evaluated and normalized with composite Simpson;
 :func:`make_default_problem` ends it where the mesh ends.  The solve checks
-that the table shows n - 1 nodes and holds all but 1e-6 of the probability.
+that the table holds all but 1e-6 of the probability.
 Solves are deterministic and repeat bit for bit.  The BLAS thread count is
 the caller's choice: this module leaves it to numpy's defaults and the
 environment, and only the ``comptonqcd`` command sets one thread.
@@ -88,7 +92,12 @@ class RadialProblem:
 
 @dataclass(frozen=True, eq=False)
 class BoundState:
-    """A normalized radial eigenstate: level n has n-1 interior nodes."""
+    """A normalized radial eigenstate: level n has n-1 interior nodes.
+
+    ``radii`` and ``u`` are the output table.  ``mesh_radii`` are the mesh
+    points r_j and ``mesh_weights`` the Gauss weights c_j^2 of the state,
+    which sum to 1; expectation values are sums over them.
+    """
 
     level: int
     energy: Quantity
@@ -96,17 +105,21 @@ class BoundState:
     radii: np.ndarray = field(repr=False)
     u: np.ndarray = field(repr=False)
     rms_radius: Quantity
+    mesh_radii: np.ndarray = field(repr=False)
+    mesh_weights: np.ndarray = field(repr=False)
 
 
 def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> float:
-    """Outer classical turning point of level n plus 15 decay lengths.
+    """Outer classical turning point of level n plus the decay lengths its tail needs.
 
     With a linear term (sigma > 0) the turning point is E/sigma at the WKB
-    energy E = (sigma^2/2mu)^(1/3) (3pi/2 (n + ell/2 - 1/4))^(2/3) and the
-    decay length is (2 mu sigma)^(-1/3).  With a Coulomb term (alpha > 0) the
-    turning point is 2(n+ell)^2/(mu alpha) and the decay length
-    (n+ell)/(mu alpha).  Either term added to the other only deepens the
-    well, so with both present the smaller of the two covers is taken.
+    energy E = (sigma^2/2mu)^(1/3) (3pi/2 (n + ell/2 - 1/4))^(2/3), and the
+    cover adds 15 decay lengths (2 mu sigma)^(-1/3).  With a Coulomb term
+    (alpha > 0) and k = n + ell the turning point is 2k^2/(mu alpha) and the
+    decay length k/(mu alpha); the tail u ~ r^k e^(-r mu alpha/k) falls more
+    slowly for high k, so the cover adds 15 + (k - 1)/2 of them.  Either term
+    added to the other only deepens the well, so with both present the
+    smaller of the two covers is taken.
     """
     if not 1 <= n <= _MAX_LEVEL:
         raise DomainError(f"level must be an integer from 1 to {_MAX_LEVEL}, got {n}")
@@ -121,7 +134,7 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
         covers.append(energy / sigma + _DECAY_LENGTHS * (2.0 * mu * sigma) ** (-1.0 / 3.0))
     if alpha > 0.0:
         k = n + ell
-        covers.append((2.0 * k * k + _DECAY_LENGTHS * k) / (mu * alpha))
+        covers.append((2.0 * k * k + (_DECAY_LENGTHS + 0.5 * (k - 1)) * k) / (mu * alpha))
     if not covers:
         raise NoBoundState("potential is identically zero")
     return min(covers)
@@ -149,7 +162,7 @@ def make_default_problem(
 
 
 def _mesh_size(n: int) -> int:
-    """Mesh points for level n; fewer let far-tail sign flips fake nodes."""
+    """Mesh points for level n; too few give the level's eigenvector the wrong node count."""
     return 50 + 4 * n
 
 
@@ -218,9 +231,10 @@ def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
     """The n-th bound state (n = 1 is the ground state, n-1 interior nodes).
 
     Raises :class:`NoBoundState` when both potential terms vanish,
-    :class:`DomainError` when the mesh Hamiltonian or the output table
-    overflows float64, and :class:`GridTooSmall` when the output table misses
-    more than 1e-6 of the probability or shows a node count other than n - 1.
+    :class:`DomainError` when the mesh Hamiltonian, or the output table with
+    the RMS radius, overflows float64, and :class:`GridTooSmall` when the mesh
+    eigenvector shows a node count other than n - 1 or the output table misses
+    more than 1e-6 of the probability.
     """
     import numpy as np
 
@@ -237,35 +251,35 @@ def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
                               f"(alpha = {alpha:g}, sigma = {sigma:g}, mu = {mu:g})")
         energies, vectors = np.linalg.eigh(hamiltonian)
         c = vectors[:, n - 1]
-        # u > 0 near the origin, where it rises like r^(ell+1)
-        if c[np.argmax(np.abs(c) > 1e-6 * np.max(np.abs(c)))] < 0.0:
-            c = -c
+        # u(r_j) has the sign of c_j; amplitudes below 1e-6 of the largest are
+        # noise.  u > 0 near the origin, where it rises like r^(ell+1)
+        signs = c[np.abs(c) > 1e-6 * np.max(np.abs(c))]
+        if signs[0] < 0.0:
+            c, signs = -c, -signs
+        nodes = int(np.sum(signs[:-1] * signs[1:] < 0.0))
+        if nodes != n - 1:
+            raise GridTooSmall(f"level {n}: the mesh shows {nodes} node(s), not {n - 1}")
+        mesh_radii = h * x
+        weights = c * c
+        rms = math.sqrt(float((weights * mesh_radii * mesh_radii).sum()))
 
         r = np.linspace(p.r_min.value, p.r_max.value, p.grid_points)
-        step = float(r[1] - r[0])
-        overflow = f"level {n}: the output table overflows float64 (r_max = {p.r_max.value:g})"
         u = _wavefunction(c, x, basis, h, r)
-        norm = composite_simpson(u * u, step)
-        if not math.isfinite(norm):
-            raise DomainError(overflow)
+        norm = composite_simpson(u * u, float(r[1] - r[0]))
+        if not (math.isfinite(norm) and math.isfinite(rms)):
+            raise DomainError(f"level {n}: the output table overflows float64 "
+                              f"(r_max = {p.r_max.value:g})")
         if abs(1.0 - norm) > _NORM_TOL:
             raise GridTooSmall(f"level {n}: [r_min, r_max] holds {norm:.9g} of the probability")
-        u = u / math.sqrt(norm)
-        # sign changes among the interior values above 1e-12 of the peak
-        inner = u[1:-1][np.abs(u[1:-1]) > 1e-12 * np.max(np.abs(u))]
-        nodes = int(np.sum(inner[:-1] * inner[1:] < 0.0))
-        if nodes != n - 1:
-            raise GridTooSmall(f"level {n}: the table shows {nodes} node(s), not {n - 1}")
-        rms = math.sqrt(composite_simpson(r * r * u * u, step))
-        if not math.isfinite(rms):
-            raise DomainError(overflow)
     return BoundState(
         level=n,
         energy=Quantity(float(energies[n - 1]), 1),
         nodes=nodes,
         radii=r,
-        u=u,
+        u=u / math.sqrt(norm),
         rms_radius=Quantity(rms, -1),
+        mesh_radii=mesh_radii,
+        mesh_weights=weights,
     )
 
 
@@ -274,19 +288,19 @@ def virial_check(state: BoundState, p: RadialProblem) -> float:
 
     For the Cornell form r dV/dr = alpha/r + sigma*r, and <T> = E - <V>.
     With alpha, sigma >= 0, not both zero, <r dV/dr> is positive, so the
-    residual stays meaningful where E passes through zero.  The state must be
-    normalized; unnormalized input is rejected.
+    residual stays meaningful where E passes through zero.  The expectation
+    values are Gauss sums over the state's mesh weights, which must sum to 1;
+    other weights are rejected.
     """
-    r = state.radii
-    h = float(r[1] - r[0])
-    u2 = state.u**2
-    norm = composite_simpson(u2, h)
+    r = state.mesh_radii
+    weights = state.mesh_weights
+    norm = float(weights.sum())
     if abs(norm - 1.0) > _NORM_TOL:
-        raise DomainError(f"state is not normalized (Int u^2 dr = {norm:.6g})")
+        raise DomainError(f"state is not normalized (sum of mesh weights = {norm:.6g})")
     alpha = p.potential.alpha.value
     sigma = p.potential.sigma.value
-    mean_v = composite_simpson(u2 * (-alpha / r + sigma * r), h)
-    mean_rdv = composite_simpson(u2 * (alpha / r + sigma * r), h)
+    mean_v = float((weights * (-alpha / r + sigma * r)).sum())
+    mean_rdv = float((weights * (alpha / r + sigma * r)).sum())
     energy = state.energy.value
     # <T> = E - <V> keeps any centrifugal part on the kinetic side, as the
     # virial relation requires

@@ -217,8 +217,10 @@ def test_mesh_size_self_convergence_coulomb(monkeypatch):
 def test_cover_extent_closed_forms():
     # hydrogen n = 1: turning point 2, decay length 1
     assert cover_extent(1.0, 0.0, 1.0, 1, 0) == 17.0
-    # (n + ell) scales both lengths, 1 / (mu alpha) sets the unit
-    assert cover_extent(2.0, 0.0, 0.5, 2, 1) == pytest.approx(2 * 9 + 15 * 3)
+    # k = n + ell scales both lengths, 1 / (mu alpha) sets the unit, and the
+    # cover adds 15 + (k - 1) / 2 decay lengths
+    assert cover_extent(2.0, 0.0, 0.5, 2, 1) == pytest.approx(2 * 9 + 16 * 3)
+    assert cover_extent(1.0, 0.0, 1.0, 40, 10) == pytest.approx(2 * 50**2 + 39.5 * 50)
     # linear: WKB turning point E / sigma plus 15 (2 mu sigma)^(-1/3)
     wkb = (1.5 * math.pi * 0.75) ** (2.0 / 3.0)
     assert cover_extent(0.0, 1.0, 0.5, 1, 0) == pytest.approx(wkb + 15.0)
@@ -248,7 +250,7 @@ def test_cover_extent_rejects_bad_input():
 
 
 def test_too_small_mesh_is_caught_by_the_node_count(monkeypatch):
-    # with 40 mesh points this level shows spurious far-tail sign changes
+    # 20 mesh points cannot resolve level 5: its eigenvector shows 7 sign changes
     args = (1.28, 1.51, 1.63, 5, 2)
     extent = cover_extent(*args)
     prob = RadialProblem(
@@ -256,17 +258,19 @@ def test_too_small_mesh_is_caught_by_the_node_count(monkeypatch):
         Quantity(1e-6, -1), Quantity(extent, -1), 2, 4001,
     )
     assert solve_bound_state(prob, 5).nodes == 4
-    monkeypatch.setattr(spectrum, "_mesh_size", lambda level: 40)
-    with pytest.raises(GridTooSmall, match="node"):
+    monkeypatch.setattr(spectrum, "_mesh_size", lambda level: 20)
+    with pytest.raises(GridTooSmall, match=r"level 5: the mesh shows 7 node\(s\), not 4"):
         solve_bound_state(prob, 5)
 
 
 # --- properties over random Cornell problems -------------------------------------
 
-# zeros of Ai(-x), a_1 .. a_7
+# zeros of Ai(-x), a_1 .. a_13
 AIRY_ZEROS = (
     2.338107410459767, 4.087949444130971, 5.520559828095551, 6.786708090071759,
-    7.944133587120853, 9.022650853340981, 10.04017434155809,
+    7.944133587120853, 9.022650853340981, 10.04017434155809, 11.008524303733262,
+    11.936015563236262, 12.828776752865757, 13.691489035210719, 14.527829951775335,
+    15.340755135977998,
 )
 
 
@@ -286,7 +290,7 @@ COUPLING = st.one_of(st.just(0.0), st.floats(0.1, 2.0))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(alpha=COUPLING, sigma=COUPLING, mu=st.floats(0.2, 2.0), ell=st.integers(0, 2))
+@given(alpha=COUPLING, sigma=COUPLING, mu=st.floats(0.2, 2.0), ell=st.integers(0, 8))
 def test_random_cornell_levels(alpha, sigma, mu, ell):
     assume(alpha > 0.0 or sigma > 0.0)
     pot = CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2))
@@ -302,6 +306,20 @@ def test_random_cornell_levels(alpha, sigma, mu, ell):
         assert virial_check(state, prob) <= 1e-4
         energies.append(energy)
     assert all(b > a for a, b in zip(energies, energies[1:]))
+
+
+@pytest.mark.parametrize("ell", [0, 3, 8, 20])
+def test_hydrogen_levels_on_default_tables(ell):
+    # near the origin u ~ r^(ell+1), and the table's values there are rounding
+    # noise that changes sign; the mesh eigenvector carries the node count
+    for n in (1, 5, 10, 20, 30, 40, 50):
+        k = n + ell
+        state = solve_bound_state(make_default_problem(COULOMB, Quantity(1.0, 1), level=n,
+                                                       angular_momentum=ell), n)
+        assert state.nodes == n - 1
+        assert abs(state.energy.value + 0.5 / k**2) <= 1e-10 / (2 * k**2)
+        rms = math.sqrt(k * k * (5 * k * k + 1 - 3 * ell * (ell + 1)) / 2.0)
+        assert abs(state.rms_radius.value - rms) <= 1e-9 * rms
 
 
 # --- derived observables --------------------------------------------------------
@@ -348,8 +366,10 @@ def test_virial_rejects_unnormalized_state(hydrogen_ground):
         energy=state.energy,
         nodes=state.nodes,
         radii=state.radii,
-        u=2.0 * state.u,
+        u=state.u,
         rms_radius=state.rms_radius,
+        mesh_radii=state.mesh_radii,
+        mesh_weights=2.0 * state.mesh_weights,
     )
     with pytest.raises(DomainError):
         virial_check(bad, prob)

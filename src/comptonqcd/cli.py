@@ -39,13 +39,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import estimator, potential as pot, spectrum as spec, stressfield as sf
 from .errors import DomainError, ToolkitError
-from .natunits import E2_PAPER, E2_PRECISE, Quantity, compton_wavelength
+from .natunits import E2_PAPER, E2_PRECISE, Quantity, compton_wavelength, is_normal
 
 __all__ = ["main", "console_main", "RunConfig", "schema_path"]
 
@@ -61,18 +60,20 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                None: ((str,), "a string")}
 
 
-@dataclass
 class RunConfig:
     """Resolved common settings for one subcommand invocation."""
 
-    command: str
-    e2_mode: str
-    output_format: str
-    output_path: str | None
-    options: dict
+    __slots__ = ("command", "e2_mode", "output_format", "output_path", "options")
+
+    def __init__(self, command: str, e2_mode: str, output_format: str,
+                 output_path: str | None, options: dict) -> None:
+        self.command = command
+        self.e2_mode = e2_mode
+        self.output_format = output_format
+        self.output_path = output_path
+        self.options = options
 
 
-@dataclass
 class Output:
     """A handler's result, before any output form is built.
 
@@ -82,11 +83,16 @@ class Output:
     With ``sidecar`` set, a CSV written to a file gets its JSON form beside it.
     """
 
-    payload: dict
-    rows: Iterable[Sequence]
-    table_rows: Iterable[Sequence] | None = None
-    title: str = ""
-    sidecar: bool = False
+    __slots__ = ("payload", "rows", "table_rows", "title", "sidecar")
+
+    def __init__(self, payload: dict, rows: Iterable[Sequence],
+                 table_rows: Iterable[Sequence] | None = None, title: str = "",
+                 sidecar: bool = False) -> None:
+        self.payload = payload
+        self.rows = rows
+        self.table_rows = table_rows
+        self.title = title
+        self.sidecar = sidecar
 
 
 def fmt(x: float) -> str:
@@ -347,6 +353,7 @@ def _run_linearize(cfg: RunConfig) -> Output:
         shifted = pot.QuarkConfiguration(pair.charges, (x, 1.0), sep)
         return pot.configuration_energy(shifted, e_squared=e2).value
 
+    outside = f"l = {l_value:g} puts a derivative or the slope outside float64"
     try:
         e0 = axial(0.0)
         # displacements are in units of l, so scale the derivatives back by 1/l^k
@@ -356,16 +363,14 @@ def _run_linearize(cfg: RunConfig) -> Output:
         pair_slope = abs(pair_energy(step) - pair_energy(-step)) / (2.0 * step) / l_value
         declared = pot.confinement_slope(sep, e_squared=e2)
         ratio = pair_slope / declared.value
-        # float arithmetic past the float64 range raises, returns inf or, for
-        # a value that is non-zero in exact arithmetic, a subnormal or zero;
-        # the first derivative alone is zero by symmetry, and confinement_slope
-        # checks the declared slope itself
-        if not math.isfinite(first) or not all(
-                sys.float_info.min <= abs(value) < math.inf
-                for value in (second_ax, second_tr, pair_slope, ratio)):
-            raise OverflowError
     except ArithmeticError as exc:
-        raise DomainError(f"l = {l_value:g} puts a derivative or the slope outside float64") from exc
+        raise DomainError(outside) from exc
+    # float arithmetic past the float64 range raises, returns inf or, for a
+    # value that is non-zero in exact arithmetic, a subnormal or zero; the
+    # first derivative alone is zero by symmetry, and confinement_slope checks
+    # the declared slope itself
+    if not (math.isfinite(first) and is_normal(second_ax, second_tr, pair_slope, ratio)):
+        raise DomainError(outside)
     values = {
         "l": l_value,
         "displacement_step": step,
@@ -399,8 +404,10 @@ def _run_spectrum(cfg: RunConfig) -> Output:
         cornell, Quantity(mu, 1), level=n, angular_momentum=ell,
         grid_points=opts.get("grid_points", spec.DEFAULT_GRID_POINTS),
     )
-    bounds = {key: Quantity(opts[key], -1) for key in ("r_min", "r_max") if key in opts}
-    problem = replace(problem, **bounds)
+    r_min, r_max = (Quantity(opts[key], -1) if key in opts else getattr(problem, key)
+                    for key in ("r_min", "r_max"))
+    problem = spec.RadialProblem(cornell, problem.reduced_mass, r_min, r_max, ell,
+                                 problem.grid_points)
     state = spec.solve_bound_state(problem, n)
     payload = spec.bound_state_sidecar(state, problem)
     return Output(payload, _wave_rows(state), table_rows=_record(payload), sidecar=True)

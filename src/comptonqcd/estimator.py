@@ -12,12 +12,11 @@ reproduces bit for bit at the default coupling e^2 = 1/137.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import DomainError
-from .natunits import Quantity, resolve_e_squared
+from .natunits import Frozen, Quantity, resolve_e_squared
 from .potential import charge_fraction
 
 __all__ = [
@@ -37,25 +36,24 @@ PION_SLOPE_COEFFICIENT = Fraction(1)
 PION_FERMION_COUNT = 2
 
 
-@dataclass(frozen=True)
-class MassEstimate:
+class MassEstimate(Frozen):
     """A mass in units of m_e, reproducible from its defining fields.
 
     mass = fermions / (slope_coefficient * e_squared); ``fermions`` counts
     the constituents (1 unless stated otherwise).
     """
 
-    slope_coefficient: Fraction
-    e_squared: Fraction
-    fermions: int = 1
+    __slots__ = ("slope_coefficient", "e_squared", "fermions")
 
-    def __post_init__(self) -> None:
-        if self.slope_coefficient <= 0:
-            raise DomainError(f"slope coefficient must be positive, got {self.slope_coefficient}")
-        if self.e_squared <= 0:
-            raise DomainError(f"e^2 must be positive, got {self.e_squared}")
-        if self.fermions < 1:
-            raise DomainError(f"fermion count must be at least 1, got {self.fermions}")
+    def __init__(self, slope_coefficient: Fraction, e_squared: Fraction,
+                 fermions: int = 1) -> None:
+        if slope_coefficient <= 0:
+            raise DomainError(f"slope coefficient must be positive, got {slope_coefficient}")
+        if e_squared <= 0:
+            raise DomainError(f"e^2 must be positive, got {e_squared}")
+        if fermions < 1:
+            raise DomainError(f"fermion count must be at least 1, got {fermions}")
+        self._fill(slope_coefficient, e_squared, fermions)
 
     @property
     def mass_fraction(self) -> Fraction:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 
 from .errors import DimensionError, DivByZero, DomainError, InvalidMass, InvalidQuantity
@@ -27,6 +27,7 @@ __all__ = [
     "qarith",
     "compton_wavelength",
     "resolve_e_squared",
+    "is_normal",
     "E2_PAPER",
     "E2_PRECISE",
 ]
@@ -35,15 +36,55 @@ E2_PAPER = Fraction(1, 137)
 E2_PRECISE = Fraction(1_000_000, 137_035_999)  # exactly 1/137.035999
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Frozen:
+    """Base of the immutable value types, in place of a frozen dataclass.
+
+    A subclass's fields are its ``__slots__``, in order, and its ``__init__``
+    takes them in that order: it checks its arguments, then stores them with
+    :meth:`_fill`.  Assignment and deletion then raise AttributeError.
+    ``==``, ``hash``, ``repr`` and pickling go by the fields, as a frozen
+    dataclass's do; ``repr`` leaves out the fields named in ``_unshown``.
+    """
+
+    __slots__ = ()
+    _unshown: tuple[str, ...] = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self.__slots__ if name not in self._unshown)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Quantity(Frozen):
     """A real value paired with an integer mass-dimension exponent."""
 
-    value: float
-    dim: int
+    __slots__ = ("value", "dim")
 
-    def __post_init__(self) -> None:
-        value = self.value
+    def __init__(self, value: float, dim: int) -> None:
         # the tuple test is a fast path; numbers.Real also admits numpy scalars
         if isinstance(value, bool) or not (
             isinstance(value, (int, float)) or isinstance(value, numbers.Real)
@@ -52,9 +93,11 @@ class Quantity:
         val = float(value)
         if not math.isfinite(val):
             raise InvalidQuantity(f"value must be finite, got {val!r}")
-        if isinstance(self.dim, bool) or not isinstance(self.dim, int):
-            raise InvalidQuantity(f"dim must be an integer, got {self.dim!r}")
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise InvalidQuantity(f"dim must be an integer, got {dim!r}")
+        # two direct stores: _fill's loop would slow the most built type by a third
         object.__setattr__(self, "value", val)
+        object.__setattr__(self, "dim", dim)
 
     # Arithmetic delegates to qarith; bare numbers lift to dimension 0.
     def __add__(self, other: "Quantity | float | int") -> "Quantity":
@@ -145,3 +188,16 @@ def resolve_e_squared(e_squared: Fraction | float | int | None) -> Fraction:
     if frac <= 0:
         raise DomainError(f"e^2 must be positive, got {e_squared}")
     return frac
+
+
+def is_normal(*values: float) -> bool:
+    """True when every value is a normal float64: finite, and neither zero nor subnormal.
+
+    A result that is non-zero in exact arithmetic must pass: float64 rounds
+    one too large to inf, and one too small to a subnormal or to zero, which
+    has lost its value.
+    """
+    for value in values:
+        if not sys.float_info.min <= abs(value) < math.inf:
+            return False
+    return True

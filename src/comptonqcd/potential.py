@@ -25,8 +25,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -35,7 +33,7 @@ from .errors import (
     InvalidMass,
     SingularConfiguration,
 )
-from .natunits import Quantity, resolve_e_squared
+from .natunits import Frozen, Quantity, is_normal, resolve_e_squared
 
 __all__ = [
     "CornellPotential",
@@ -54,20 +52,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CornellPotential:
+class CornellPotential(Frozen):
     """Coulomb-plus-linear potential parameters (alpha dim 0, sigma dim 2)."""
 
-    alpha: Quantity
-    sigma: Quantity
+    __slots__ = ("alpha", "sigma")
 
-    def __post_init__(self) -> None:
-        if self.alpha.dim != 0:
-            raise DomainError(f"alpha must be dimensionless, got dim {self.alpha.dim}")
-        if self.sigma.dim != 2:
-            raise DomainError(f"sigma must have dim 2, got dim {self.sigma.dim}")
-        if self.alpha.value < 0.0 or self.sigma.value < 0.0:
+    def __init__(self, alpha: Quantity, sigma: Quantity) -> None:
+        if alpha.dim != 0:
+            raise DomainError(f"alpha must be dimensionless, got dim {alpha.dim}")
+        if sigma.dim != 2:
+            raise DomainError(f"sigma must have dim 2, got dim {sigma.dim}")
+        if alpha.value < 0.0 or sigma.value < 0.0:
             raise DomainError("alpha and sigma must be non-negative")
+        self._fill(alpha, sigma)
 
 
 def cornell_from_quark_mass(
@@ -118,24 +115,23 @@ def charge_fraction(d: int) -> Fraction:
     return Fraction(d, 3)
 
 
-@dataclass(frozen=True)
-class QuarkConfiguration:
+class QuarkConfiguration(Frozen):
     """Point charges (exact rationals, units of e) on a line with spacing l.
 
     Positions are dimensionless multiples of the separation scale l.
     """
 
-    charges: tuple[Fraction, ...]
-    positions: tuple[float, ...]
-    separation: Quantity
+    __slots__ = ("charges", "positions", "separation")
 
-    def __post_init__(self) -> None:
-        if len(self.charges) != len(self.positions) or len(self.charges) < 2:
+    def __init__(self, charges: tuple[Fraction, ...], positions: tuple[float, ...],
+                 separation: Quantity) -> None:
+        if len(charges) != len(positions) or len(charges) < 2:
             raise DomainError("need at least two charges with matching positions")
-        if self.separation.dim != -1 or self.separation.value <= 0.0:
+        if separation.dim != -1 or separation.value <= 0.0:
             raise DomainError("separation must be a positive length (dim -1)")
-        if len(set(self.positions)) != len(self.positions):
+        if len(set(positions)) != len(positions):
             raise SingularConfiguration("positions must be pairwise distinct")
+        self._fill(charges, positions, separation)
 
     @property
     def total_charge(self) -> Fraction:
@@ -235,8 +231,8 @@ def confinement_slope(
 
     Taken as given for the model chain; the exact Coulomb expansion of the
     same configuration has no linear term (see module docstring).  The exact
-    value is positive, so one that float64 holds only as a subnormal, zero or
-    overflow raises :class:`DomainError`.
+    value is positive, so one that is not a normal float64 raises
+    :class:`DomainError`.
     """
     if separation.dim != -1 or separation.value <= 0.0:
         raise DomainError("separation must be a positive length (dim -1)")
@@ -245,7 +241,7 @@ def confinement_slope(
         value = float(e2 / 9 / Fraction(separation.value) ** 2)
     except OverflowError:
         value = math.inf
-    if not sys.float_info.min <= value < math.inf:
+    if not is_normal(value):
         raise DomainError(f"l = {separation.value:g} puts the declared slope "
                           "e^2/(9 l^2) outside float64")
     return Quantity(value, 2)

@@ -26,13 +26,12 @@ environment, and only the ``comptonqcd`` command sets one thread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, GridTooSmall, NoBoundState
 from .estimator import quark_mass_estimate
-from .natunits import Quantity, compton_wavelength
+from .natunits import Frozen, Quantity, compton_wavelength, is_normal
 from .potential import CornellPotential, cornell_from_quark_mass
 from .quadrature import composite_simpson
 
@@ -66,47 +65,47 @@ _MAX_LEVEL = 50
 _NORM_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class RadialProblem:
+class RadialProblem(Frozen):
     """A Cornell potential with a reduced mass on a finite radial grid."""
 
-    potential: CornellPotential
-    reduced_mass: Quantity
-    r_min: Quantity
-    r_max: Quantity
-    angular_momentum: int = 0
-    grid_points: int = DEFAULT_GRID_POINTS
+    __slots__ = ("potential", "reduced_mass", "r_min", "r_max", "angular_momentum",
+                 "grid_points")
 
-    def __post_init__(self) -> None:
-        if self.reduced_mass.dim != 1 or self.reduced_mass.value <= 0.0:
+    def __init__(self, potential: CornellPotential, reduced_mass: Quantity, r_min: Quantity,
+                 r_max: Quantity, angular_momentum: int = 0,
+                 grid_points: int = DEFAULT_GRID_POINTS) -> None:
+        if reduced_mass.dim != 1 or reduced_mass.value <= 0.0:
             raise DomainError("reduced mass must be positive with dim 1")
-        if self.r_min.dim != -1 or self.r_max.dim != -1:
+        if r_min.dim != -1 or r_max.dim != -1:
             raise DomainError("grid bounds must be lengths (dim -1)")
-        if not 0.0 < self.r_min.value < self.r_max.value:
+        if not 0.0 < r_min.value < r_max.value:
             raise DomainError("need 0 < r_min < r_max")
-        if self.angular_momentum < 0:
+        if angular_momentum < 0:
             raise DomainError("angular momentum must be non-negative")
-        if self.grid_points < 1000:
+        if grid_points < 1000:
             raise DomainError("grid must have at least 1000 points")
+        self._fill(potential, reduced_mass, r_min, r_max, angular_momentum, grid_points)
 
 
-@dataclass(frozen=True, eq=False)
-class BoundState:
+class BoundState(Frozen):
     """A normalized radial eigenstate: level n has n-1 interior nodes.
 
     ``radii`` and ``u`` are the output table.  ``mesh_radii`` are the mesh
     points r_j and ``mesh_weights`` the Gauss weights c_j^2 of the state,
-    which sum to 1; expectation values are sums over them.
+    which sum to 1; expectation values are sums over them.  Two states are
+    equal only when they are the same object; ``repr`` leaves out the arrays.
     """
 
-    level: int
-    energy: Quantity
-    nodes: int
-    radii: np.ndarray = field(repr=False)
-    u: np.ndarray = field(repr=False)
-    rms_radius: Quantity
-    mesh_radii: np.ndarray = field(repr=False)
-    mesh_weights: np.ndarray = field(repr=False)
+    __slots__ = ("level", "energy", "nodes", "radii", "u", "rms_radius", "mesh_radii",
+                 "mesh_weights")
+    _unshown = ("radii", "u", "mesh_radii", "mesh_weights")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, level: int, energy: Quantity, nodes: int, radii: np.ndarray,
+                 u: np.ndarray, rms_radius: Quantity, mesh_radii: np.ndarray,
+                 mesh_weights: np.ndarray) -> None:
+        self._fill(level, energy, nodes, radii, u, rms_radius, mesh_radii, mesh_weights)
 
 
 def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> float:
@@ -119,7 +118,9 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
     decay length k/(mu alpha); the tail u ~ r^k e^(-r mu alpha/k) falls more
     slowly for high k, so the cover adds 15 + (k - 1)/2 of them.  Either term
     added to the other only deepens the well, so with both present the
-    smaller of the two covers is taken.
+    smaller of the two covers is taken.  The cover and each decay scale,
+    mu*alpha and 2*mu*sigma, must be normal float64 values; inputs that
+    overflow or underflow one of them raise :class:`DomainError`.
     """
     if not 1 <= n <= _MAX_LEVEL:
         raise DomainError(f"level must be an integer from 1 to {_MAX_LEVEL}, got {n}")
@@ -129,15 +130,25 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
         raise DomainError("reduced mass must be positive")
     covers = []
     if sigma > 0.0:
+        _check_scale("2*mu*sigma", 2.0 * mu * sigma, alpha, sigma, mu)
         wkb = (1.5 * math.pi * (n + 0.5 * ell - 0.25)) ** (2.0 / 3.0)
         energy = (sigma * sigma / (2.0 * mu)) ** (1.0 / 3.0) * wkb
         covers.append(energy / sigma + _DECAY_LENGTHS * (2.0 * mu * sigma) ** (-1.0 / 3.0))
     if alpha > 0.0:
+        _check_scale("mu*alpha", mu * alpha, alpha, sigma, mu)
         k = n + ell
         covers.append((2.0 * k * k + (_DECAY_LENGTHS + 0.5 * (k - 1)) * k) / (mu * alpha))
     if not covers:
         raise NoBoundState("potential is identically zero")
-    return min(covers)
+    cover = min(covers)
+    _check_scale("the mesh cover", cover, alpha, sigma, mu)
+    return cover
+
+
+def _check_scale(name: str, value: float, alpha: float, sigma: float, mu: float) -> None:
+    if not is_normal(value):
+        raise DomainError(f"{name} = {value:g} is not a normal float64 "
+                          f"(alpha = {alpha:g}, sigma = {sigma:g}, mu = {mu:g})")
 
 
 def make_default_problem(

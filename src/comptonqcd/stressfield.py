@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
-import sys
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Union
 
@@ -41,7 +39,7 @@ from .errors import (
     InvalidSource,
     RegimeError,
 )
-from .natunits import Quantity, compton_wavelength, resolve_e_squared
+from .natunits import Frozen, Quantity, compton_wavelength, is_normal, resolve_e_squared
 from .quadrature import composite_simpson
 
 # numpy is imported inside the functions that use it, so that the exact
@@ -80,24 +78,22 @@ def _check_energy(q: Quantity, name: str) -> None:
         raise DomainError(f"{name} must have dim 1, got dim {q.dim}")
 
 
-@dataclass(frozen=True)
-class UniformBall:
+class UniformBall(Frozen):
     """Constant density inside a ball of radius R carrying total energy E_tot."""
 
-    support_radius: Quantity
-    total_energy: Quantity
+    __slots__ = ("support_radius", "total_energy")
 
-    def __post_init__(self) -> None:
-        _check_radius(self.support_radius, "support_radius")
-        _check_energy(self.total_energy, "total_energy")
-        if self.support_radius.value <= 0.0:
+    def __init__(self, support_radius: Quantity, total_energy: Quantity) -> None:
+        _check_radius(support_radius, "support_radius")
+        _check_energy(total_energy, "total_energy")
+        if support_radius.value <= 0.0:
             raise InvalidSource("support radius must be positive")
-        if self.total_energy.value <= 0.0:
+        if total_energy.value <= 0.0:
             raise InvalidSource("total energy must be positive")
+        self._fill(support_radius, total_energy)
 
 
-@dataclass(frozen=True)
-class RadialTable:
+class RadialTable(Frozen):
     """Piecewise-linear density samples (r', eps(r')), renormalized to E_tot.
 
     Below the first sampled radius the density extends flat; the last sample
@@ -107,27 +103,26 @@ class RadialTable:
     rejects tables that do not.
     """
 
-    radii: tuple[float, ...]
-    densities: tuple[float, ...]
-    support_radius: Quantity
-    total_energy: Quantity
+    __slots__ = ("radii", "densities", "support_radius", "total_energy")
 
-    def __post_init__(self) -> None:
-        _check_radius(self.support_radius, "support_radius")
-        _check_energy(self.total_energy, "total_energy")
-        _validate_samples(self.radii, self.densities)
-        if self.support_radius.value != self.radii[-1]:
+    def __init__(self, radii: tuple[float, ...], densities: tuple[float, ...],
+                 support_radius: Quantity, total_energy: Quantity) -> None:
+        _check_radius(support_radius, "support_radius")
+        _check_energy(total_energy, "total_energy")
+        _validate_samples(radii, densities)
+        if support_radius.value != radii[-1]:
             raise InvalidSource("support radius must equal the last sampled radius")
-        if self.total_energy.value <= 0.0:
+        if total_energy.value <= 0.0:
             raise InvalidSource("total energy must be positive")
         norm = _table_integral(
-            self.radii, self.densities, lambda x: 4.0 * math.pi * x * x, 0.0, self.radii[-1]
+            radii, densities, lambda x: 4.0 * math.pi * x * x, 0.0, radii[-1]
         )
-        if abs(norm - self.total_energy.value) > 1e-10 * self.total_energy.value:
+        if abs(norm - total_energy.value) > 1e-10 * total_energy.value:
             raise InvalidSource(
                 "densities are not normalized to the total energy; "
                 "build the table with RadialTable.from_samples"
             )
+        self._fill(radii, densities, support_radius, total_energy)
 
     @staticmethod
     def from_samples(
@@ -300,8 +295,7 @@ def near_field_potential(src: SourceDensity, m: Quantity, r: Quantity) -> Quanti
     The m^2 factor on the linear term models the second time derivative of
     the source through the Compton-frequency substitution; the additive
     constant terms carry no r dependence and are dropped.  Every factor is
-    positive, so one that float64 holds only as a subnormal or zero raises
-    :class:`DomainError`.
+    positive, so one that is not a normal float64 raises :class:`DomainError`.
     """
     _check_energy(m, "m")
     if m.value <= 0.0:
@@ -311,8 +305,7 @@ def near_field_potential(src: SourceDensity, m: Quantity, r: Quantity) -> Quanti
     inverse_term = 4.0 * (m * inv)
     cube = m**3
     linear_term = 2.0 * (cube * lin)
-    if min(inv.value, lin.value, cube.value, inverse_term.value,
-           linear_term.value) < sys.float_info.min:
+    if not is_normal(inv.value, lin.value, cube.value, inverse_term.value, linear_term.value):
         raise DomainError(f"the near field at m = {m.value:g}, r = {r.value:g} "
                           "underflows float64")
     return inverse_term + linear_term

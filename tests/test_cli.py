@@ -33,6 +33,15 @@ def validate(command, payload):
     Draft202012Validator(load_schema(command)).validate(payload)
 
 
+@pytest.mark.parametrize("command", ["derive", "charge", "potential", "field", "linearize",
+                                     "spectrum", "confinement", "regime"])
+def test_schema_is_closed(command):
+    # a missing or unexpected top-level key fails validation
+    schema = load_schema(command)
+    assert schema["additionalProperties"] is False
+    assert sorted(schema["required"]) == sorted(schema["properties"])
+
+
 # --- charge -------------------------------------------------------------------
 
 
@@ -454,6 +463,17 @@ def test_spectrum_out_of_range_input_is_computation_error(capsys):
         assert word in err
 
 
+@pytest.mark.parametrize("argv, scale", [(("--alpha=1e-300", "--mu=1e-300"), "mu*alpha"),
+                                         (("--sigma=1e-20", "--mu=1e-320"), "2*mu*sigma")])
+def test_spectrum_decay_scale_underflow_is_computation_error(capsys, argv, scale):
+    # each product underflows to 0 and once ended in a ZeroDivisionError traceback
+    code, out, err = run_cli(capsys, "spectrum", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {scale} = 0 is not a normal float64")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag, value, stage", [("--alpha", "1e300", "mesh Hamiltonian"),
                                                 ("--mu", "1e-300", "output table")])
 def test_spectrum_float_overflow_is_named(capsys, flag, value, stage):
@@ -544,12 +564,17 @@ def test_console_main_defaults_blas_to_one_thread(monkeypatch, capsys, preset, t
 
 
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 import comptonqcd, comptonqcd.cli as cli
 layers = ("cli", "potential", "estimator", "spectrum", "stressfield", "quadrature")
 report = {"unloaded": [m for m in layers if f"comptonqcd.{m}" not in sys.modules], "codes": [],
           "numpy_after_import": "numpy" in sys.modules}
 for command in ("derive", "charge", "potential", "linearize", "regime", "field"):
+    if command == "field":
+        # type() alone: any attribute access would load a lazy module
+        report["loaded_after_exact"] = [
+            m for m in ("spectrum", "stressfield", "quadrature")
+            if type(sys.modules[f"comptonqcd.{m}"]) is types.ModuleType]
     for form in ("json", "csv", "table"):
         with contextlib.redirect_stdout(io.StringIO()):
             report["codes"].append(cli.main([command, "--format", form]))
@@ -557,13 +582,16 @@ report["numpy_after_exact"] = "numpy" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     report["codes"].append(cli.main(["spectrum", "--grid-points", "2000"]))
 report["numpy_after_spectrum"] = "numpy" in sys.modules
+report["dataclasses"] = "dataclasses" in sys.modules
 print(json.dumps(report))
 """
 
 
 def test_exact_subcommands_and_field_do_not_import_numpy():
     # a fresh interpreter, since this one has numpy loaded already; every layer
-    # module must still load with the CLI, as the benchmark tracer wraps them all
+    # module must still be in sys.modules with the CLI, as the benchmark tracer
+    # wraps them all, but the exact subcommands leave the solver and field
+    # layers unloaded
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
                           capture_output=True, text=True, check=True)
     report = json.loads(done.stdout)
@@ -573,5 +601,7 @@ def test_exact_subcommands_and_field_do_not_import_numpy():
     # and the CLI leaves numpy unloaded
     assert report["numpy_after_import"] is False
     assert report["codes"] == [0] * 19
+    assert report["loaded_after_exact"] == []
     assert report["numpy_after_exact"] is False
+    assert report["dataclasses"] is False
     assert report["numpy_after_spectrum"] is True

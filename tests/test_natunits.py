@@ -1,6 +1,10 @@
-"""Dimension bookkeeping, Compton wavelengths, and the exact coupling."""
+"""Dimension bookkeeping, Compton wavelengths, the exact coupling, and the value types."""
 
+import copy
+import dataclasses
 import math
+import pickle
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,10 +23,16 @@ from comptonqcd.natunits import (
     E2_PRECISE,
     Quantity,
     compton_wavelength,
+    is_normal,
     make_quantity,
     qarith,
     resolve_e_squared,
 )
+from comptonqcd.cli import Output, RunConfig
+from comptonqcd.estimator import MassEstimate
+from comptonqcd.potential import CornellPotential, QuarkConfiguration
+from comptonqcd.spectrum import BoundState, RadialProblem
+from comptonqcd.stressfield import RadialTable, UniformBall
 
 
 def test_make_quantity_identity():
@@ -168,3 +178,78 @@ def test_resolve_e_squared_rejects_non_finite(value):
     # nan once raised a bare ValueError and the infinities an OverflowError
     with pytest.raises(DomainError, match=f"^e\\^2 must be finite, got {value}$"):
         resolve_e_squared(value)
+
+
+@pytest.mark.parametrize("value, normal", [
+    (1.0, True), (-2.5, True), (sys.float_info.min, True), (-sys.float_info.max, True),
+    (0.0, False), (-0.0, False), (5e-324, False), (sys.float_info.min / 2, False),
+    (math.inf, False), (-math.inf, False), (math.nan, False),
+])
+def test_is_normal(value, normal):
+    assert is_normal(value) is normal
+    assert is_normal(1.0, value, 2.0) is normal
+
+
+_TABLE = RadialTable.from_samples([0.0, 0.5, 1.0], [2.0, 1.0, 0.0], Quantity(3.0, 1))
+# each value type with its fields, as keyword arguments in field order
+_VALUE_TYPES = [
+    (Quantity, {"value": 1.5, "dim": 1}),
+    (CornellPotential, {"alpha": Quantity(1.0, 0), "sigma": Quantity(2.0, 2)}),
+    (QuarkConfiguration, {"charges": (Fraction(2, 3), Fraction(-1, 3)),
+                          "positions": (0.0, 1.0), "separation": Quantity(1.0, -1)}),
+    (MassEstimate, {"slope_coefficient": Fraction(1, 9), "e_squared": Fraction(1, 137),
+                    "fermions": 2}),
+    (UniformBall, {"support_radius": Quantity(1.0, -1), "total_energy": Quantity(2.0, 1)}),
+    (RadialTable, {"radii": _TABLE.radii, "densities": _TABLE.densities,
+                   "support_radius": _TABLE.support_radius,
+                   "total_energy": _TABLE.total_energy}),
+    (RadialProblem, {"potential": CornellPotential(Quantity(1.0, 0), Quantity(0.0, 2)),
+                     "reduced_mass": Quantity(1.0, 1), "r_min": Quantity(1e-6, -1),
+                     "r_max": Quantity(17.0, -1), "angular_momentum": 1,
+                     "grid_points": 1000}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", _VALUE_TYPES, ids=lambda x: getattr(x, "__name__", ""))
+def test_value_types_behave_as_frozen_dataclasses(cls, fields):
+    # a frozen dataclass with the same fields is the reference for ==, hash and repr
+    reference = dataclasses.make_dataclass(cls.__name__, list(fields), frozen=True)(**fields)
+    value = cls(**fields)
+    assert not hasattr(value, "__dict__")
+    assert value == cls(*fields.values()) and not value != cls(**fields)
+    assert value != reference and value != object()
+    assert hash(value) == hash(reference)
+    assert repr(value) == repr(reference)
+    assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+    for name in fields:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+        assert getattr(value, name) == fields[name]
+
+
+def test_bound_state_is_frozen_with_identity_equality():
+    fields = {"level": 1, "energy": Quantity(-0.5, 1), "nodes": 0, "radii": np.zeros(3),
+              "u": np.ones(3), "rms_radius": Quantity(1.7, -1), "mesh_radii": np.ones(2),
+              "mesh_weights": np.full(2, 0.5)}
+    hidden = {"radii", "u", "mesh_radii", "mesh_weights"}
+    reference = dataclasses.make_dataclass(
+        "BoundState", [(name, object, dataclasses.field(repr=name not in hidden))
+                       for name in fields], frozen=True, eq=False)
+    state = BoundState(**fields)
+    assert repr(state) == repr(reference(**fields))
+    assert repr(state) == ("BoundState(level=1, energy=Quantity(value=-0.5, dim=1), nodes=0, "
+                           "rms_radius=Quantity(value=1.7, dim=-1))")
+    assert state == state and state != BoundState(**fields)
+    assert hash(state) == object.__hash__(state)
+    with pytest.raises(AttributeError, match="cannot assign to field 'nodes'"):
+        state.nodes = 1
+
+
+def test_cli_records_take_keywords_and_hold_no_dict():
+    config = RunConfig(command="derive", e2_mode="precise", output_format="json",
+                       output_path=None, options={})
+    out = Output(payload={}, rows=[])
+    assert (config.e2_mode, out.table_rows, out.title, out.sidecar) == ("precise", None, "", False)
+    assert not hasattr(config, "__dict__") and not hasattr(out, "__dict__")

@@ -247,6 +247,14 @@ def test_cover_extent_rejects_bad_input():
                  (1.0, 0.0, 1.0, 51, 0), (1.0, 0.0, 1.0, 1, -1)):
         with pytest.raises(DomainError):
             cover_extent(*args)
+    # a decay scale that underflows, and a cover that overflows, leave float64
+    for args, name in (((1e-300, 0.0, 1e-300, 1, 0), r"mu\*alpha = 0"),
+                       ((1e-5, 0.0, 1e-305, 1, 0), r"mu\*alpha = 1e-310"),
+                       ((1.0, 1e-20, 1e-320, 1, 0), r"2\*mu\*sigma = 0"),
+                       ((1e10, 0.0, 1e300, 1, 0), r"mu\*alpha = inf"),
+                       ((1e-300, 0.0, 5e-8, 1, 0), "the mesh cover = inf")):
+        with pytest.raises(DomainError, match=f"^{name} is not a normal float64"):
+            cover_extent(*args)
 
 
 def test_too_small_mesh_is_caught_by_the_node_count(monkeypatch):

@@ -49,8 +49,7 @@ _EXPORTS = {
     ),
     "spectrum": (
         "BoundState", "RadialProblem", "bound_state_sidecar", "confinement_ratio",
-        "confinement_report", "cover_extent", "make_default_problem", "solve_bound_state",
-        "virial_check",
+        "confinement_report", "cover_extent", "solve_bound_state", "virial_check",
     ),
     "cli": (),
 }

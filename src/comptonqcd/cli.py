@@ -52,6 +52,8 @@ __all__ = ["main", "console_main", "RunConfig", "schema_path"]
 E2 = {"paper-137": E2_PAPER, "precise": E2_PRECISE}
 FORMAT_CHOICES = ("csv", "json", "table")
 ENV_E2 = "COMPTONQCD_E2"
+# most rows of a potential or field table, checked before any is computed
+MAX_POINTS = 100_000
 
 # parser destinations that are not settings
 _NOT_CONFIG = {"help", "config_path"}
@@ -165,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=None, help="reduced mass (m_e units)")
     p.add_argument("--ell", type=int, default=None, help="orbital angular momentum")
     p.add_argument("--n", type=int, default=None, help="level (1 = ground state)")
-    p.add_argument("--r-min", type=float, default=None, dest="r_min")
-    p.add_argument("--r-max", type=float, default=None, dest="r_max")
     p.add_argument("--grid-points", type=int, default=None, dest="grid_points")
 
     command("confinement", _run_confinement, "table",
@@ -281,6 +281,8 @@ def _sample_range(opts: dict, r_start: float, r_stop: float) -> list[float]:
     points = opts.get("points", 50)
     if not (math.isfinite(r_start) and math.isfinite(r_stop)):
         raise ToolkitError(f"r_start and r_stop must be finite, got {r_start} and {r_stop}")
+    if points > MAX_POINTS:
+        raise ToolkitError(f"points must be at most {MAX_POINTS}, got {points}")
     if points < 2 or not 0.0 < r_start < r_stop:
         raise ToolkitError("need points >= 2 and 0 < r_start < r_stop")
     step = (r_stop - r_start) / (points - 1)
@@ -393,22 +395,11 @@ def _wave_rows(state: spec.BoundState) -> Iterator[Sequence]:
 
 def _run_spectrum(cfg: RunConfig) -> Output:
     opts = cfg.options
-    alpha = opts.get("alpha", 1.0)
-    sigma = opts.get("sigma", 0.0)
-    mu = opts.get("mu", 1.0)
-    ell = opts.get("ell", 0)
-    n = opts.get("n", 1)
-    cornell = pot.CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2))
-    # its cover_extent call rejects mu <= 0, n < 1 and ell < 0 before any solve
-    problem = spec.make_default_problem(
-        cornell, Quantity(mu, 1), level=n, angular_momentum=ell,
-        grid_points=opts.get("grid_points", spec.DEFAULT_GRID_POINTS),
-    )
-    r_min, r_max = (Quantity(opts[key], -1) if key in opts else getattr(problem, key)
-                    for key in ("r_min", "r_max"))
-    problem = spec.RadialProblem(cornell, problem.reduced_mass, r_min, r_max, ell,
-                                 problem.grid_points)
-    state = spec.solve_bound_state(problem, n)
+    cornell = pot.CornellPotential(Quantity(opts.get("alpha", 1.0), 0),
+                                   Quantity(opts.get("sigma", 0.0), 2))
+    problem = spec.RadialProblem(cornell, Quantity(opts.get("mu", 1.0), 1), opts.get("ell", 0),
+                                 opts.get("grid_points", spec.DEFAULT_GRID_POINTS))
+    state = spec.solve_bound_state(problem, opts.get("n", 1))
     payload = spec.bound_state_sidecar(state, problem)
     return Output(payload, _wave_rows(state), table_rows=_record(payload), sidecar=True)
 

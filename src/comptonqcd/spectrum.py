@@ -14,10 +14,10 @@ The same Gauss approximation gives every expectation value as a sum
 sum_j c_j^2 f(r_j) over the eigenvector c: the RMS radius here and the
 virial residual in :func:`virial_check`.  As u(r_j) has the sign of c_j, the
 node count is the number of sign changes of c_j; the solve checks that it is
-n - 1.  r_min, r_max and grid_points only set the output table, on which u is
-evaluated and normalized with composite Simpson;
-:func:`make_default_problem` ends it where the mesh ends.  The solve checks
-that the table holds all but 1e-6 of the probability.
+n - 1.  grid_points only sets the output table: u on grid_points equal steps
+out to the end of the mesh, normalized with composite Simpson from the origin,
+where u = 0 exactly.  The solve checks that the table holds all but 1e-6 of
+the probability.
 Solves are deterministic and repeat bit for bit.  The BLAS thread count is
 the caller's choice: this module leaves it to numpy's defaults and the
 environment, and only the ``comptonqcd`` command sets one thread.
@@ -48,14 +48,15 @@ __all__ = [
     "virial_check",
     "confinement_ratio",
     "confinement_report",
-    "make_default_problem",
     "bound_state_sidecar",
     "DEFAULT_GRID_POINTS",
-    "R_MIN_FACTOR",
+    "MAX_GRID_POINTS",
 ]
 
 DEFAULT_GRID_POINTS = 20000
-R_MIN_FACTOR = 1e-6
+# largest output table: its float64 arrays stay near 100 MB, and the check
+# comes before any of them is allocated
+MAX_GRID_POINTS = 1_000_000
 
 # decay lengths the mesh covers beyond the outer classical turning point
 _DECAY_LENGTHS = 15.0
@@ -66,25 +67,21 @@ _NORM_TOL = 1e-6
 
 
 class RadialProblem(Frozen):
-    """A Cornell potential with a reduced mass on a finite radial grid."""
+    """A Cornell potential with a reduced mass, and the row count of its output table."""
 
-    __slots__ = ("potential", "reduced_mass", "r_min", "r_max", "angular_momentum",
-                 "grid_points")
+    __slots__ = ("potential", "reduced_mass", "angular_momentum", "grid_points")
 
-    def __init__(self, potential: CornellPotential, reduced_mass: Quantity, r_min: Quantity,
-                 r_max: Quantity, angular_momentum: int = 0,
-                 grid_points: int = DEFAULT_GRID_POINTS) -> None:
-        if reduced_mass.dim != 1 or reduced_mass.value <= 0.0:
-            raise DomainError("reduced mass must be positive with dim 1")
-        if r_min.dim != -1 or r_max.dim != -1:
-            raise DomainError("grid bounds must be lengths (dim -1)")
-        if not 0.0 < r_min.value < r_max.value:
-            raise DomainError("need 0 < r_min < r_max")
+    def __init__(self, potential: CornellPotential, reduced_mass: Quantity,
+                 angular_momentum: int = 0, grid_points: int = DEFAULT_GRID_POINTS) -> None:
+        if reduced_mass.dim != 1:
+            raise DomainError("reduced mass must have dim 1")
+        if not reduced_mass.value > 0.0:
+            raise DomainError("reduced mass must be positive")
         if angular_momentum < 0:
             raise DomainError("angular momentum must be non-negative")
-        if grid_points < 1000:
-            raise DomainError("grid must have at least 1000 points")
-        self._fill(potential, reduced_mass, r_min, r_max, angular_momentum, grid_points)
+        if not 1000 <= grid_points <= MAX_GRID_POINTS:
+            raise DomainError(f"grid must have 1000 to {MAX_GRID_POINTS} points, got {grid_points}")
+        self._fill(potential, reduced_mass, angular_momentum, grid_points)
 
 
 class BoundState(Frozen):
@@ -112,11 +109,13 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
     """Outer classical turning point of level n plus the decay lengths its tail needs.
 
     With a linear term (sigma > 0) the turning point is E/sigma at the WKB
-    energy E = (sigma^2/2mu)^(1/3) (3pi/2 (n + ell/2 - 1/4))^(2/3), and the
-    cover adds 15 decay lengths (2 mu sigma)^(-1/3).  With a Coulomb term
-    (alpha > 0) and k = n + ell the turning point is 2k^2/(mu alpha) and the
-    decay length k/(mu alpha); the tail u ~ r^k e^(-r mu alpha/k) falls more
-    slowly for high k, so the cover adds 15 + (k - 1)/2 of them.  Either term
+    energy E = (sigma^2/2mu)^(1/3) w, w = (3pi/2 (n + ell/2 - 1/4))^(2/3), and
+    the cover adds 15 decay lengths (2 mu sigma)^(-1/3).  Their sum is
+    (w + 15) (2 mu sigma)^(-1/3), which never squares sigma, so it holds
+    where sigma^2 underflows.  With a Coulomb term (alpha > 0) and k = n + ell
+    the turning point is 2k^2/(mu alpha) and the decay length k/(mu alpha);
+    the tail u ~ r^k e^(-r mu alpha/k) falls more slowly for high k, so the
+    cover adds 15 + (k - 1)/2 of them.  Either term
     added to the other only deepens the well, so with both present the
     smaller of the two covers is taken.  The cover and each decay scale,
     mu*alpha and 2*mu*sigma, must be normal float64 values; inputs that
@@ -132,8 +131,7 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
     if sigma > 0.0:
         _check_scale("2*mu*sigma", 2.0 * mu * sigma, alpha, sigma, mu)
         wkb = (1.5 * math.pi * (n + 0.5 * ell - 0.25)) ** (2.0 / 3.0)
-        energy = (sigma * sigma / (2.0 * mu)) ** (1.0 / 3.0) * wkb
-        covers.append(energy / sigma + _DECAY_LENGTHS * (2.0 * mu * sigma) ** (-1.0 / 3.0))
+        covers.append((wkb + _DECAY_LENGTHS) * (2.0 * mu * sigma) ** (-1.0 / 3.0))
     if alpha > 0.0:
         _check_scale("mu*alpha", mu * alpha, alpha, sigma, mu)
         k = n + ell
@@ -149,27 +147,6 @@ def _check_scale(name: str, value: float, alpha: float, sigma: float, mu: float)
     if not is_normal(value):
         raise DomainError(f"{name} = {value:g} is not a normal float64 "
                           f"(alpha = {alpha:g}, sigma = {sigma:g}, mu = {mu:g})")
-
-
-def make_default_problem(
-    potential: CornellPotential,
-    reduced_mass: Quantity,
-    *,
-    level: int = 1,
-    angular_momentum: int = 0,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> RadialProblem:
-    """The default output table for a level: [R_MIN_FACTOR, 1] times its cover_extent."""
-    r_max = cover_extent(potential.alpha.value, potential.sigma.value, reduced_mass.value,
-                         level, angular_momentum)
-    return RadialProblem(
-        potential=potential,
-        reduced_mass=reduced_mass,
-        r_min=Quantity(R_MIN_FACTOR * r_max, -1),
-        r_max=Quantity(r_max, -1),
-        angular_momentum=angular_momentum,
-        grid_points=grid_points,
-    )
 
 
 def _mesh_size(n: int) -> int:
@@ -274,20 +251,22 @@ def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
         weights = c * c
         rms = math.sqrt(float((weights * mesh_radii * mesh_radii).sum()))
 
-        r = np.linspace(p.r_min.value, p.r_max.value, p.grid_points)
+        # the table's rows start one step out; the origin, where u = 0
+        # exactly, enters only the normalization
+        r = np.linspace(0.0, extent, p.grid_points + 1)
         u = _wavefunction(c, x, basis, h, r)
-        norm = composite_simpson(u * u, float(r[1] - r[0]))
+        norm = composite_simpson(u * u, float(r[1]))
         if not (math.isfinite(norm) and math.isfinite(rms)):
             raise DomainError(f"level {n}: the output table overflows float64 "
-                              f"(r_max = {p.r_max.value:g})")
+                              f"(r_max = {extent:g})")
         if abs(1.0 - norm) > _NORM_TOL:
-            raise GridTooSmall(f"level {n}: [r_min, r_max] holds {norm:.9g} of the probability")
+            raise GridTooSmall(f"level {n}: [0, {extent:g}] holds {norm:.9g} of the probability")
     return BoundState(
         level=n,
         energy=Quantity(float(energies[n - 1]), 1),
         nodes=nodes,
-        radii=r,
-        u=u / math.sqrt(norm),
+        radii=r[1:],
+        u=u[1:] / math.sqrt(norm),
         rms_radius=Quantity(rms, -1),
         mesh_radii=mesh_radii,
         mesh_weights=weights,
@@ -323,15 +302,14 @@ def confinement_report(*, e_squared: Fraction | float | None = None) -> dict:
     """Solve the end-to-end confinement chain at coupling e^2 (default 1/137).
 
     Quark mass from the slope chain, potential from that mass, reduced mass
-    m/2, ground state on the default table; the headline number is the RMS
-    radius over the Compton wavelength.
+    m/2, ground state; the headline number is the RMS radius over the
+    Compton wavelength.
     """
     m_quark = quark_mass_estimate(e_squared=e_squared).mass
     pot = cornell_from_quark_mass(m_quark)
     mu = Quantity(m_quark.value / 2.0, 1)
     lam = compton_wavelength(m_quark)
-    problem = make_default_problem(pot, mu)
-    state = solve_bound_state(problem, 1)
+    state = solve_bound_state(RadialProblem(pot, mu), 1)
     ratio = state.rms_radius.value / lam.value
     return {
         "m_quark": m_quark.value,
@@ -363,6 +341,5 @@ def bound_state_sidecar(state: BoundState, p: RadialProblem) -> dict:
         "sigma": p.potential.sigma.value,
         "mu": p.reduced_mass.value,
         "ell": p.angular_momentum,
-        "r_min": p.r_min.value,
-        "r_max": p.r_max.value,
+        "r_max": float(state.radii[-1]),
     }

@@ -96,6 +96,7 @@ CASES = [
     case("usage_config_bad_format", "regime", config={"output_format": "xml"}),
     case("usage_field_intervals", "field", "--intervals", "512"),
     case("usage_confinement_grid_points", "confinement", "--grid-points", "8000"),
+    case("usage_spectrum_r_min", "spectrum", "--r-min", "1e-6"),
     # computation errors: exit 1
     case("error_charge_dimension", "charge", "--d", "4"),
     case("error_potential_range", "potential", "--r-start", "5", "--r-stop", "1"),

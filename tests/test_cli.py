@@ -1,18 +1,25 @@
 """Subcommand behaviour: outputs, formats, schemas, precedence, exit codes."""
 
+import argparse
+import contextlib
 import importlib
 import inspect
+import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 
 from comptonqcd import cli
 from comptonqcd.cli import main, schema_path
-from comptonqcd.spectrum import cover_extent
+from comptonqcd.spectrum import MAX_GRID_POINTS, cover_extent
 
 LIBRARY = ("comptonqcd", *(f"comptonqcd.{name}" for name in (
     "natunits", "potential", "estimator", "quadrature", "spectrum", "stressfield")))
@@ -397,7 +404,7 @@ def test_linearize_extreme_separation_is_computation_error(capsys, l_value, form
 def test_spectrum_hydrogen_summary(capsys):
     _, out, _ = run_cli(
         capsys, "spectrum", "--alpha", "1", "--sigma", "0", "--mu", "1", "--n", "1",
-        "--r-max", "30", "--grid-points", "8001",
+        "--grid-points", "8001",
     )
     payload = json.loads(out)
     validate("spectrum", payload)
@@ -446,11 +453,44 @@ def test_spectrum_returns_the_requested_level(capsys):
 
 def test_spectrum_prints_the_sidecar_keys(capsys):
     keys = ["n", "E", "nodes", "rms_radius", "grid_points",
-            "alpha", "sigma", "mu", "ell", "r_min", "r_max"]
+            "alpha", "sigma", "mu", "ell", "r_max"]
     _, out, _ = run_cli(capsys, "spectrum", "--grid-points", "4001")
     assert list(json.loads(out)) == keys
     _, out, _ = run_cli(capsys, "spectrum", "--grid-points", "4001", "--format", "table")
     assert [line.split()[0] for line in out.splitlines()[1:]] == keys
+
+
+@pytest.mark.parametrize("key", ["r_min", "r_max"])
+def test_spectrum_has_no_table_box_settings(capsys, tmp_path, key):
+    # the table ends where the mesh does, at cover_extent, so there is no box to set
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: 1.0}), encoding="utf-8")
+    flag = "--" + key.replace("_", "-")
+    for argv in (["spectrum", flag, "1.0"], ["spectrum", "--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and (flag in err or key in err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("spectrum", "--grid-points", str(MAX_GRID_POINTS + 1)),
+     f"grid must have 1000 to {MAX_GRID_POINTS} points, got {MAX_GRID_POINTS + 1}"),
+    (("potential", "--points", str(cli.MAX_POINTS + 1)),
+     f"points must be at most {cli.MAX_POINTS}, got {cli.MAX_POINTS + 1}"),
+    (("field", "--points", str(cli.MAX_POINTS + 1)),
+     f"points must be at most {cli.MAX_POINTS}, got {cli.MAX_POINTS + 1}"),
+])
+def test_size_caps_fail_before_any_allocation(capsys, monkeypatch, argv, message):
+    # one above each cap; no radius is sampled and no solve starts
+    monkeypatch.setattr(cli.spec, "solve_bound_state", None)
+    monkeypatch.setattr(cli.sf, "near_field_potential", None)
+    monkeypatch.setattr(cli.pot, "evaluate_cornell", None)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_spectrum_out_of_range_input_is_computation_error(capsys):
@@ -605,3 +645,79 @@ def test_exact_subcommands_and_field_do_not_import_numpy():
     assert report["numpy_after_exact"] is False
     assert report["dataclasses"] is False
     assert report["numpy_after_spectrum"] is True
+
+
+# --- input-domain sweep ---------------------------------------------------------------
+
+_PARSER = cli.build_parser()
+_ACTIONS = cli._config_actions(_PARSER)
+# each subcommand's config keys, singly and in pairs
+_KEY_SETS = {
+    name: [(key,) for key in keys] + list(itertools.combinations(keys, 2))
+    for action in _PARSER._actions if isinstance(action, argparse._SubParsersAction)
+    for name, subparser in action.choices.items()
+    for keys in [sorted({a.dest for a in subparser._actions} & set(_ACTIONS))]
+}
+# sizes stay small or jump past their caps, so no draw builds a large table
+_VALUES = {
+    "grid_points": st.integers(-5, 3000) | st.sampled_from([MAX_GRID_POINTS + 1, 10**10]),
+    "points": st.integers(-3, 100) | st.sampled_from([cli.MAX_POINTS + 1, 10**12]),
+    "output_path": st.sampled_from(["out", os.path.join("missing", "out")]),
+}
+
+
+def _value(key):
+    if key in _VALUES:
+        return _VALUES[key]
+    action = _ACTIONS[key]
+    if action.choices is not None:
+        return st.sampled_from(action.choices)
+    if action.type is int:
+        return st.integers(-3, 60) | st.integers()
+    return st.floats()
+
+
+def _no_constant(name):
+    raise AssertionError(f"JSON output holds {name}")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_input_domain_sweep(data):
+    # single settings and pairs, as flags or from a config file
+    command = data.draw(st.sampled_from(sorted(_KEY_SETS)))
+    keys = data.draw(st.sampled_from(_KEY_SETS[command]))
+    values = {key: data.draw(_value(key), label=key) for key in keys}
+    via_config = data.draw(st.booleans(), label="via_config")
+    with tempfile.TemporaryDirectory() as tmp:
+        if "output_path" in values:
+            values["output_path"] = os.path.join(tmp, values["output_path"])
+        argv = [command]
+        if "output_format" not in values:
+            argv += ["--format", "json"]
+        if via_config:
+            cfg = os.path.join(tmp, "run.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(values, fh)
+            argv += ["--config", cfg]
+        else:
+            argv += [f"{_ACTIONS[key].option_strings[0]}={value}" for key, value in values.items()]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert err.getvalue().count("error:") == 1
+            return
+        assert err.getvalue() == ""
+        path = values.get("output_path")
+        texts = []
+        if values.get("output_format", "json") == "json":
+            texts.append(out.getvalue() if path is None else Path(path).read_text("utf-8"))
+        if path is not None and os.path.exists(path + ".json"):
+            texts.append(Path(path + ".json").read_text("utf-8"))
+        for text in texts:
+            validate(command, json.loads(text, parse_constant=_no_constant))

@@ -204,8 +204,7 @@ _VALUE_TYPES = [
                    "support_radius": _TABLE.support_radius,
                    "total_energy": _TABLE.total_energy}),
     (RadialProblem, {"potential": CornellPotential(Quantity(1.0, 0), Quantity(0.0, 2)),
-                     "reduced_mass": Quantity(1.0, 1), "r_min": Quantity(1e-6, -1),
-                     "r_max": Quantity(17.0, -1), "angular_momentum": 1,
+                     "reduced_mass": Quantity(1.0, 1), "angular_momentum": 1,
                      "grid_points": 1000}),
 ]
 

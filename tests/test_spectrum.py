@@ -8,6 +8,7 @@ the first zero by bisection; it never touches the mesh solver it checks.
 import json
 import math
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -25,8 +26,7 @@ from comptonqcd.spectrum import (
     confinement_ratio,
     confinement_report,
     cover_extent,
-    make_default_problem,
-    R_MIN_FACTOR,
+    MAX_GRID_POINTS,
     solve_bound_state,
     virial_check,
 )
@@ -81,18 +81,14 @@ LINEAR = CornellPotential(Quantity(0.0, 0), Quantity(1.0, 2))
 CORNELL = CornellPotential(Quantity(1.0, 0), Quantity(1.0, 2))
 
 
-def hydrogen_problem(r_max=30.0, n_pts=40001, mu=1.0, alpha=1.0, ell=0):
+def hydrogen_problem(n_pts=40001, mu=1.0, alpha=1.0, ell=0):
     pot = CornellPotential(Quantity(alpha, 0), Quantity(0.0, 2))
-    return RadialProblem(
-        pot, Quantity(mu, 1), Quantity(1e-8, -1), Quantity(r_max, -1), ell, n_pts
-    )
+    return RadialProblem(pot, Quantity(mu, 1), ell, n_pts)
 
 
-def linear_problem(sigma=1.0, mu=0.5, r_max=14.0, n_pts=8001):
+def linear_problem(sigma=1.0, mu=0.5, n_pts=8001):
     pot = CornellPotential(Quantity(0.0, 0), Quantity(sigma, 2))
-    return RadialProblem(
-        pot, Quantity(mu, 1), Quantity(1e-7, -1), Quantity(r_max, -1), 0, n_pts
-    )
+    return RadialProblem(pot, Quantity(mu, 1), 0, n_pts)
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +107,8 @@ def linear_ground():
 
 
 def test_hydrogen_levels_match_closed_form():
-    for n, r_max in ((1, 30.0), (2, 42.0), (3, 60.0)):
-        prob = hydrogen_problem(r_max=r_max)
+    prob = hydrogen_problem()
+    for n in (1, 2, 3):
         state = solve_bound_state(prob, n)
         exact = -0.5 / n**2
         assert abs(state.energy.value - exact) <= 1e-6 * abs(exact)
@@ -128,15 +124,15 @@ def test_linear_ground_state_matches_airy_oracle(linear_ground):
 
 def test_hydrogen_with_angular_momentum():
     # lowest ell=1 state of the Coulomb problem: E = -1/8, zero radial nodes
-    prob = hydrogen_problem(r_max=50.0, n_pts=24001, ell=1)
+    prob = hydrogen_problem(n_pts=24001, ell=1)
     state = solve_bound_state(prob, 1)
     assert abs(state.energy.value + 0.125) <= 1e-5 * 0.125
     assert state.nodes == 0
 
 
 def test_wavefunction_normalized_and_pinned(hydrogen_ground):
-    # the mesh has no wall at r_min: u follows 2r e^(-r) from r = 1e-8 out to
-    # r_max = 30, beyond the mesh's last point at 17, where u is below 2e-6
+    # u follows 2r e^(-r) from one step out to the mesh's last point at 17,
+    # where u is below 2e-6; the rows leave out only [0, h], where u^2 < 4h^2
     prob, state = hydrogen_ground
     from comptonqcd.quadrature import composite_simpson
 
@@ -150,16 +146,20 @@ def test_wavefunction_normalized_and_pinned(hydrogen_ground):
 
 def test_no_bound_state_when_potential_vanishes():
     pot = CornellPotential(Quantity(0.0, 0), Quantity(0.0, 2))
-    prob = RadialProblem(pot, Quantity(1.0, 1), Quantity(1e-6, -1), Quantity(10.0, -1), 0, 2001)
+    prob = RadialProblem(pot, Quantity(1.0, 1), 0, 2001)
     with pytest.raises(NoBoundState):
         solve_bound_state(prob, 1)
 
 
-def test_grid_too_small_for_high_coulomb_level():
-    prob = hydrogen_problem(r_max=40.0, n_pts=8001)
-    # <r> = 37.5 for n = 5, so much more than 1e-6 of the probability lies beyond r_max = 40
-    with pytest.raises(GridTooSmall, match="probability"):
-        solve_bound_state(prob, 5)
+def test_grid_too_small_for_high_coulomb_level(monkeypatch):
+    # a cover of 2 decay lengths beyond the turning point leaves 5e-4 to 8e-4
+    # of each level's probability past the table's end
+    monkeypatch.setattr(spectrum, "_DECAY_LENGTHS", 2.0)
+    prob = hydrogen_problem(n_pts=8001)
+    for n in (1, 3, 5):
+        extent = cover_extent(1.0, 0.0, 1.0, n, 0)
+        with pytest.raises(GridTooSmall, match=rf"^level {n}: \[0, {extent:g}\] holds 0\.999"):
+            solve_bound_state(prob, n)
 
 
 def test_level_must_be_positive():
@@ -169,9 +169,7 @@ def test_level_must_be_positive():
 
 
 def test_node_theorem_and_ordering_for_cornell():
-    prob = RadialProblem(
-        CORNELL, Quantity(1.0, 1), Quantity(1e-4, -1), Quantity(40.0, -1), 0, 4001
-    )
+    prob = RadialProblem(CORNELL, Quantity(1.0, 1), 0, 4001)
     energies = []
     for n in range(1, 6):
         state = solve_bound_state(prob, n)
@@ -182,14 +180,13 @@ def test_node_theorem_and_ordering_for_cornell():
 
 def test_linear_scaling_law():
     e_1 = solve_bound_state(linear_problem(sigma=1.0), 1).energy.value
-    e_8 = solve_bound_state(linear_problem(sigma=8.0, r_max=7.0), 1).energy.value
+    e_8 = solve_bound_state(linear_problem(sigma=8.0), 1).energy.value
     assert abs(e_8 / e_1 - 4.0) <= 1e-5 * 4.0  # (8 sigma)^{2/3} / sigma^{2/3} = 4
 
 
 def test_coulomb_scaling_law():
     for mu, alpha in ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0)):
-        a0 = 1.0 / (mu * alpha)
-        prob = hydrogen_problem(r_max=30.0 * a0, n_pts=24001, mu=mu, alpha=alpha)
+        prob = hydrogen_problem(n_pts=24001, mu=mu, alpha=alpha)
         state = solve_bound_state(prob, 1)
         exact = -0.5 * mu * alpha**2
         assert abs(state.energy.value - exact) <= 1e-5 * abs(exact)
@@ -233,11 +230,25 @@ def test_cover_extent_takes_the_smaller_cover():
     assert cover_extent(1.0, 1e-6, 1.0, 3, 0) == cover_extent(1.0, 0.0, 1.0, 3, 0)
     pot = CornellPotential(Quantity(1.0, 0), Quantity(1e-6, 2))
     for n in (1, 3):
-        prob = make_default_problem(pot, Quantity(1.0, 1), level=n, grid_points=4001)
-        state = solve_bound_state(prob, n)
+        state = solve_bound_state(RadialProblem(pot, Quantity(1.0, 1), 0, 4001), n)
         assert state.nodes == n - 1
         # first order in sigma: E = -1/(2 n^2) + sigma <r>, <r> = 3 n^2 / 2
         assert abs(state.energy.value - (-0.5 / n**2 + 1.5e-6 * n**2)) <= 1e-8
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e-200])
+def test_cover_extent_never_squares_sigma(sigma):
+    # sigma * sigma underflows here; it once cut the cover to 2.9617197525885e54
+    # at 1e-160 and to 5.53e67 at 1e-200.  Against 40-digit decimals, float64
+    # rounds the exponent -1/3 by 2e-17, which moves x^(-1/3) by |ln x| times
+    # that: up to 1e-14 here
+    wkb = (1.5 * math.pi * 0.75) ** (2.0 / 3.0)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = (Decimal(wkb) + 15) * (2 * Decimal(sigma)) ** (Decimal(-1) / 3)
+    cover = cover_extent(0.0, sigma, 1.0, 1, 0)
+    assert abs(cover / ((wkb + 15.0) * (2.0 * sigma) ** (-1.0 / 3.0)) - 1.0) <= 1e-15
+    assert abs(cover / float(exact) - 1.0) <= 2e-14
 
 
 def test_cover_extent_rejects_bad_input():
@@ -262,10 +273,10 @@ def test_too_small_mesh_is_caught_by_the_node_count(monkeypatch):
     args = (1.28, 1.51, 1.63, 5, 2)
     extent = cover_extent(*args)
     prob = RadialProblem(
-        CornellPotential(Quantity(1.28, 0), Quantity(1.51, 2)), Quantity(1.63, 1),
-        Quantity(1e-6, -1), Quantity(extent, -1), 2, 4001,
+        CornellPotential(Quantity(1.28, 0), Quantity(1.51, 2)), Quantity(1.63, 1), 2, 4001
     )
-    assert solve_bound_state(prob, 5).nodes == 4
+    state = solve_bound_state(prob, 5)
+    assert state.nodes == 4 and state.radii[-1] == extent
     monkeypatch.setattr(spectrum, "_mesh_size", lambda level: 20)
     with pytest.raises(GridTooSmall, match=r"level 5: the mesh shows 7 node\(s\), not 4"):
         solve_bound_state(prob, 5)
@@ -304,8 +315,7 @@ def test_random_cornell_levels(alpha, sigma, mu, ell):
     pot = CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2))
     energies = []
     for n in range(1, 6):
-        prob = make_default_problem(pot, Quantity(mu, 1), level=n, angular_momentum=ell,
-                                    grid_points=4001)
+        prob = RadialProblem(pot, Quantity(mu, 1), ell, 4001)
         state = solve_bound_state(prob, n)
         assert state.nodes == n - 1
         energy = state.energy.value
@@ -322,8 +332,7 @@ def test_hydrogen_levels_on_default_tables(ell):
     # noise that changes sign; the mesh eigenvector carries the node count
     for n in (1, 5, 10, 20, 30, 40, 50):
         k = n + ell
-        state = solve_bound_state(make_default_problem(COULOMB, Quantity(1.0, 1), level=n,
-                                                       angular_momentum=ell), n)
+        state = solve_bound_state(RadialProblem(COULOMB, Quantity(1.0, 1), ell), n)
         assert state.nodes == n - 1
         assert abs(state.energy.value + 0.5 / k**2) <= 1e-10 / (2 * k**2)
         rms = math.sqrt(k * k * (5 * k * k + 1 - 3 * ell * (ell + 1)) / 2.0)
@@ -339,14 +348,14 @@ def test_hydrogen_rms_radius(hydrogen_ground):
 
 
 def test_rms_halves_when_mass_doubles():
-    prob = hydrogen_problem(r_max=15.0, n_pts=16001, mu=2.0)
+    prob = hydrogen_problem(n_pts=16001, mu=2.0)
     state = solve_bound_state(prob, 1)
     assert abs(state.rms_radius.value - math.sqrt(3.0) / 2.0) <= 1e-5
 
 
 def test_rms_scales_with_cube_root_of_tension():
     r_1 = solve_bound_state(linear_problem(sigma=1.0), 1).rms_radius.value
-    r_8 = solve_bound_state(linear_problem(sigma=8.0, r_max=7.0), 1).rms_radius.value
+    r_8 = solve_bound_state(linear_problem(sigma=8.0), 1).rms_radius.value
     assert abs(r_1 / r_8 - 2.0) <= 1e-4 * 2.0
 
 
@@ -361,7 +370,7 @@ def test_virial_residual_is_finite_where_the_energy_vanishes():
     # this sigma puts the ground-state energy at ~1e-14; dividing by |E|
     # once reported a residual of order 1e4 for a correct state
     pot = CornellPotential(Quantity(1.0, 0), Quantity(0.4077484124895122, 2))
-    prob = RadialProblem(pot, Quantity(1.0, 1), Quantity(1e-6, -1), Quantity(20.0, -1), 0, 4001)
+    prob = RadialProblem(pot, Quantity(1.0, 1), 0, 4001)
     state = solve_bound_state(prob, 1)
     assert abs(state.energy.value) <= 1e-12
     assert virial_check(state, prob) <= 1e-4
@@ -387,30 +396,33 @@ def test_virial_rejects_unnormalized_state(hydrogen_ground):
 
 
 def test_radial_problem_validation():
-    with pytest.raises(DomainError):
-        RadialProblem(COULOMB, Quantity(1.0, 1), Quantity(1.0, -1), Quantity(0.5, -1), 0, 2001)
-    with pytest.raises(DomainError):
-        RadialProblem(COULOMB, Quantity(1.0, 1), Quantity(0.0, -1), Quantity(1.0, -1), 0, 2001)
-    with pytest.raises(DomainError):
-        RadialProblem(COULOMB, Quantity(1.0, 1), Quantity(1e-6, -1), Quantity(1.0, -1), 0, 999)
-    with pytest.raises(DomainError):
-        RadialProblem(COULOMB, Quantity(-1.0, 1), Quantity(1e-6, -1), Quantity(1.0, -1), 0, 2001)
-    with pytest.raises(DomainError):
-        RadialProblem(COULOMB, Quantity(1.0, 1), Quantity(1e-6, -1), Quantity(1.0, -1), -1, 2001)
+    for mu, ell, n_pts in ((0.0, 0, 2001), (-1.0, 0, 2001), (1.0, -1, 2001), (1.0, 0, 999),
+                           (1.0, 0, MAX_GRID_POINTS + 1), (1.0, 0, 10**10)):
+        with pytest.raises(DomainError):
+            RadialProblem(COULOMB, Quantity(mu, 1), ell, n_pts)
+    with pytest.raises(DomainError, match="dim 1"):
+        RadialProblem(COULOMB, Quantity(1.0, 0))
 
 
-def test_make_default_problem_factors():
-    # the default table ends where the mesh does, at the level's cover_extent
-    prob = make_default_problem(CORNELL, Quantity(1.0, 1), level=2, angular_momentum=1,
-                                grid_points=2000)
-    extent = cover_extent(1.0, 1.0, 1.0, 2, 1)
-    assert prob.r_max.value == extent
-    assert prob.r_min.value == R_MIN_FACTOR * extent
-    assert (prob.angular_momentum, prob.grid_points) == (1, 2000)
-    assert make_default_problem(CORNELL, Quantity(1.0, 1)).r_max.value == cover_extent(
-        1.0, 1.0, 1.0, 1, 0)
-    with pytest.raises(DomainError):
-        make_default_problem(CORNELL, Quantity(0.0, 1))
+def test_grid_cap_is_checked_before_any_allocation(monkeypatch):
+    # a grid one above the cap fails in the constructor, so no solve runs
+    monkeypatch.setattr(np, "linspace", None)
+    with pytest.raises(DomainError, match=f"^grid must have 1000 to {MAX_GRID_POINTS} points"):
+        RadialProblem(COULOMB, Quantity(1.0, 1), 0, MAX_GRID_POINTS + 1)
+
+
+def test_table_rows_end_at_the_cover():
+    # grid_points rows, one step apart, from r_max / grid_points to the cover
+    for args in ((1.0, 1.0, 1.0, 2, 1), (1.0, 0.0, 1.0, 1, 0), (0.0, 1.0, 0.5, 2, 0)):
+        alpha, sigma, mu, n, ell = args
+        pot = CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2))
+        prob = RadialProblem(pot, Quantity(mu, 1), ell, 2000)
+        state = solve_bound_state(prob, n)
+        r_max = bound_state_sidecar(state, prob)["r_max"]
+        assert r_max == state.radii[-1] == cover_extent(*args)
+        assert len(state.radii) == len(state.u) == 2000
+        assert state.radii[0] == r_max / 2000
+        assert np.allclose(np.diff(state.radii), r_max / 2000, rtol=1e-9, atol=0.0)
 
 
 # --- confinement chain --------------------------------------------------------------
@@ -430,8 +442,7 @@ def test_confinement_ratio_insensitive_to_coupling_mode():
 def test_pure_coulomb_contrast_spreads_beyond_band():
     # without the linear term, excited states leak far outside the Compton scale
     m = 1233.0
-    a0 = 2.0 / m
-    prob = hydrogen_problem(r_max=70.0 * a0, n_pts=20001, mu=m / 2.0)
+    prob = hydrogen_problem(n_pts=20001, mu=m / 2.0)
     state = solve_bound_state(prob, 3)
     assert state.rms_radius.value * m > 10.0
 
@@ -454,8 +465,7 @@ def test_bound_state_export_round_trip(tmp_path, linear_ground):
     prob, state = linear_ground
     path = tmp_path / "state.csv"
     assert main(["spectrum", "--alpha", "0", "--sigma", "1", "--mu", "0.5", "--n", "1",
-                 "--r-min", "1e-7", "--r-max", "14", "--grid-points", "8001",
-                 "--format", "csv", "-o", str(path)]) == 0
+                 "--grid-points", "8001", "--format", "csv", "-o", str(path)]) == 0
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "r,u"
     assert len(lines) == prob.grid_points + 1
@@ -466,6 +476,6 @@ def test_bound_state_export_round_trip(tmp_path, linear_ground):
     assert sidecar["n"] == 1 and sidecar["nodes"] == 0
     assert list(sidecar) == [
         "n", "E", "nodes", "rms_radius", "grid_points",
-        "alpha", "sigma", "mu", "ell", "r_min", "r_max",
+        "alpha", "sigma", "mu", "ell", "r_max",
     ]
-    assert sidecar["sigma"] == 1.0 and sidecar["r_max"] == 14.0
+    assert sidecar["sigma"] == 1.0 and sidecar["r_max"] == cover_extent(0.0, 1.0, 0.5, 1, 0)

@@ -51,12 +51,17 @@ __all__ = [
     "bound_state_sidecar",
     "DEFAULT_GRID_POINTS",
     "MAX_GRID_POINTS",
+    "MAX_ANGULAR_MOMENTUM",
 ]
 
 DEFAULT_GRID_POINTS = 20000
 # largest output table: its float64 arrays stay near 100 MB, and the check
 # comes before any of them is allocated
 MAX_GRID_POINTS = 1_000_000
+# highest ell the mesh holds: hydrogen levels n = 1..10 are right to 1.4e-13
+# at ell = 100 and 1.4e-11 at ell = 120; near ell = 150 the centrifugal
+# barrier outgrows the mesh and levels show the wrong node count
+MAX_ANGULAR_MOMENTUM = 100
 
 # decay lengths the mesh covers beyond the outer classical turning point
 _DECAY_LENGTHS = 15.0
@@ -77,8 +82,9 @@ class RadialProblem(Frozen):
             raise DomainError("reduced mass must have dim 1")
         if not reduced_mass.value > 0.0:
             raise DomainError("reduced mass must be positive")
-        if angular_momentum < 0:
-            raise DomainError("angular momentum must be non-negative")
+        if not 0 <= angular_momentum <= MAX_ANGULAR_MOMENTUM:
+            raise DomainError(f"angular momentum ell must be 0 to {MAX_ANGULAR_MOMENTUM}, "
+                              f"got {angular_momentum}")
         if not 1000 <= grid_points <= MAX_GRID_POINTS:
             raise DomainError(f"grid must have 1000 to {MAX_GRID_POINTS} points, got {grid_points}")
         self._fill(potential, reduced_mass, angular_momentum, grid_points)

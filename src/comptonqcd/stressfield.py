@@ -7,13 +7,17 @@ one-dimensional integrals over the source radius r':
     inverse kernel:  (2*pi/r) * Int r' eps(r') [(r + r') - |r - r'|] dr'
     linear kernel:   (2*pi/(3*r)) * Int r' eps(r') [(r + r')^3 - |r - r'|^3] dr'
 
-For a uniform ball both integrals are polynomials in r (and 1/r), evaluated in
-closed form with no quadrature.  For a tabulated profile both integrands have
-a kink at r' = r, so they run as composite Simpson on each smooth piece (each
-table segment, split at r), about DEFAULT_INTERVALS panels per integral.
-Tables are renormalized at construction with the same rule, which makes the
-shell theorem (exterior inverse kernel equal to E_tot/r) hold to rounding
-accuracy for every table.
+Outside the support (r >= R) both depend only on the total moments
+M_k = 4*pi * Int r'^k eps(r') dr' (the shell theorem): the inverse kernel is
+E_tot/r and the linear kernel E_tot*r + M_4/(3r).  For a uniform ball
+M_4 = 3 E_tot R^2/5, and inside it both kernels are polynomials in r, so the
+ball needs no quadrature at all.  A tabulated profile is piecewise linear, so
+each x^k eps(x) is a polynomial of degree <= 5 on each piece and a 3-point
+Gauss-Legendre rule per piece gives its moments exactly; they set its
+normalization (M_2 = E_tot), its exterior kernels and the r = 0 limit of its
+linear kernel.  Interior table radii have a kink at r' = r, so there both
+integrals run as composite Simpson on each smooth piece (each table segment,
+split at r), about DEFAULT_INTERVALS panels per integral.
 
 The near-field potential combines the kernels as
 
@@ -114,9 +118,7 @@ class RadialTable(Frozen):
             raise InvalidSource("support radius must equal the last sampled radius")
         if total_energy.value <= 0.0:
             raise InvalidSource("total energy must be positive")
-        norm = _table_integral(
-            radii, densities, lambda x: 4.0 * math.pi * x * x, 0.0, radii[-1]
-        )
+        norm = _moment(radii, densities, 2)
         if abs(norm - total_energy.value) > 1e-10 * total_energy.value:
             raise InvalidSource(
                 "densities are not normalized to the total energy; "
@@ -137,7 +139,7 @@ class RadialTable(Frozen):
         _check_energy(total_energy, "total_energy")
         if total_energy.value <= 0.0:
             raise InvalidSource("total energy must be positive")
-        norm = _table_integral(r, eps, lambda x: 4.0 * math.pi * x * x, 0.0, r[-1])
+        norm = _moment(r, eps, 2)
         if norm <= 0.0:
             raise InvalidSource("profile integrates to zero energy")
         scale = total_energy.value / norm
@@ -188,7 +190,36 @@ def load_source_csv(path: str, total_energy: Quantity) -> RadialTable:
 
 
 # ---------------------------------------------------------------------------
-# table quadrature
+# table moments and quadrature
+
+# 3-point Gauss-Legendre on a piece [a, b], exact for polynomials of degree
+# <= 5: nodes a + s*(b - a) at s = 1/2 -+ sqrt(3/5)/2 and 1/2, weights
+# (5/18, 5/18, 4/9) times b - a
+_GAUSS_S = 0.5 - 0.5 * math.sqrt(0.6)
+
+
+def _moment(radii: tuple[float, ...], densities: tuple[float, ...], k: int) -> float:
+    """M_k = 4*pi * Int_0^R r'^k eps(r') dr' of a table, exact up to rounding (k <= 4).
+
+    eps is linear on each piece, so x^k eps(x) has degree <= 5 there and the
+    3-point rule is exact.  Each term is a non-negative density at a node
+    times a positive weight, so nothing cancels, however narrow the piece;
+    a monomial antiderivative c0 (b^(k+1) - a^(k+1))/(k+1) + ... would lose
+    digits to cancellation on a narrow piece far from the origin.  The flat
+    segment below radii[0] enters in closed form.
+    """
+    s0, s2 = _GAUSS_S, 1.0 - _GAUSS_S
+    total = 0.0
+    for a, b, ea, eb in zip(radii, radii[1:], densities, densities[1:]):
+        h = b - a
+        # eps at the nodes, interpolated without differences
+        total += h * (
+            5.0 * (a + s0 * h) ** k * (s2 * ea + s0 * eb)
+            + 4.0 * (a + 0.5 * h) ** k * (ea + eb)
+            + 5.0 * (a + s2 * h) ** k * (s0 * ea + s2 * eb)
+        )
+    flat = densities[0] * radii[0] ** (k + 1) / (k + 1)
+    return 4.0 * math.pi * (flat + total / 18.0)
 
 
 def _table_integral(
@@ -233,17 +264,17 @@ def _radius_value(r: Quantity) -> float:
 def radial_reduce_inverse(src: SourceDensity, r: Quantity) -> Quantity:
     """Inverse-distance kernel Int eps(x') / |x - x'| d^3x' at radius r.
 
-    A uniform ball evaluates in closed form: E_tot/r outside, and
-    E_tot (3R^2 - r^2) / (2R^3) inside.  For a tabulated profile exterior
-    points reproduce E_tot/r to rounding accuracy (shell theorem), and r = 0
-    is clamped to R / DEFAULT_INTERVALS with :class:`ClampWarning`.
+    Outside the support (r >= R) it is E_tot/r for every source (shell
+    theorem).  Inside, a uniform ball gives E_tot (3R^2 - r^2) / (2R^3); a
+    tabulated profile runs composite Simpson per smooth piece, and r = 0 is
+    clamped to R / DEFAULT_INTERVALS with :class:`ClampWarning`.
     """
     rv = _radius_value(r)
     R = src.support_radius.value
+    E = src.total_energy.value
+    if rv >= R:
+        return Quantity(E / rv, 2)
     if isinstance(src, UniformBall):
-        E = src.total_energy.value
-        if rv >= R:
-            return Quantity(E / rv, 2)
         t = rv / R
         return Quantity(E / R * (3.0 - t * t) / 2.0, 2)
     if rv == 0.0:
@@ -253,10 +284,10 @@ def radial_reduce_inverse(src: SourceDensity, r: Quantity) -> Quantity:
             ClampWarning,
             stacklevel=2,
         )
-    radii, densities, split = src.radii, src.densities, min(rv, R)
+    radii, densities = src.radii, src.densities
     # r' <= r: (r + r') - |r - r'| = 2 r';   r' >= r: it equals 2 r.
-    total = _table_integral(radii, densities, lambda x: x * ((rv + x) - (rv - x)), 0.0, split)
-    total += _table_integral(radii, densities, lambda x: x * ((rv + x) - (x - rv)), split, R)
+    total = _table_integral(radii, densities, lambda x: x * ((rv + x) - (rv - x)), 0.0, rv)
+    total += _table_integral(radii, densities, lambda x: x * ((rv + x) - (x - rv)), rv, R)
     return Quantity(2.0 * math.pi / rv * total, 2)
 
 
@@ -264,9 +295,10 @@ def radial_reduce_linear(src: SourceDensity, r: Quantity) -> Quantity:
     """Linear-distance kernel Int eps(x') |x - x'| d^3x' at radius r.
 
     A uniform ball evaluates in closed form: E_tot (r + R^2/(5r)) outside, and
-    E_tot (r^2/(2R) + 3R/4 - r^4/(20R^3)) inside.  For a tabulated profile
-    the r = 0 limit is the mean-radius integral 4*pi*Int r'^3 eps dr',
-    evaluated directly.
+    E_tot (r^2/(2R) + 3R/4 - r^4/(20R^3)) inside.  A tabulated profile gives
+    E_tot*r + M_4/(3r) outside (r >= R) and the mean-radius moment M_3 at
+    r = 0, both from its exact moments M_k = 4*pi*Int r'^k eps dr', and runs
+    composite Simpson per smooth piece at other interior radii.
     """
     rv = _radius_value(r)
     R = src.support_radius.value
@@ -276,15 +308,16 @@ def radial_reduce_linear(src: SourceDensity, r: Quantity) -> Quantity:
             return Quantity(E * (rv + R * (R / rv) / 5.0), 0)
         t = rv / R
         return Quantity(E * R * (t * t / 2.0 + 0.75 - t**4 / 20.0), 0)
-    radii, densities, split = src.radii, src.densities, min(rv, R)
+    radii, densities = src.radii, src.densities
+    if rv >= R:
+        return Quantity(src.total_energy.value * rv + _moment(radii, densities, 4) / (3.0 * rv), 0)
     if rv == 0.0:
-        total = _table_integral(radii, densities, lambda x: 4.0 * math.pi * x**3, 0.0, R)
-        return Quantity(total, 0)
+        return Quantity(_moment(radii, densities, 3), 0)
     total = _table_integral(
-        radii, densities, lambda x: x * ((rv + x) ** 3 - (rv - x) ** 3), 0.0, split
+        radii, densities, lambda x: x * ((rv + x) ** 3 - (rv - x) ** 3), 0.0, rv
     )
     total += _table_integral(
-        radii, densities, lambda x: x * ((rv + x) ** 3 - (x - rv) ** 3), split, R
+        radii, densities, lambda x: x * ((rv + x) ** 3 - (x - rv) ** 3), rv, R
     )
     return Quantity(2.0 * math.pi / (3.0 * rv) * total, 0)
 

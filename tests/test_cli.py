@@ -19,7 +19,7 @@ from jsonschema import Draft202012Validator
 
 from comptonqcd import cli
 from comptonqcd.cli import main, schema_path
-from comptonqcd.spectrum import MAX_GRID_POINTS, cover_extent
+from comptonqcd.spectrum import MAX_ANGULAR_MOMENTUM, MAX_GRID_POINTS, cover_extent
 
 LIBRARY = ("comptonqcd", *(f"comptonqcd.{name}" for name in (
     "natunits", "potential", "estimator", "quadrature", "spectrum", "stressfield")))
@@ -47,6 +47,12 @@ def test_schema_is_closed(command):
     schema = load_schema(command)
     assert schema["additionalProperties"] is False
     assert sorted(schema["required"]) == sorted(schema["properties"])
+
+
+def test_spectrum_schema_states_the_size_caps():
+    properties = load_schema("spectrum")["properties"]
+    assert properties["ell"]["maximum"] == MAX_ANGULAR_MOMENTUM
+    assert properties["grid_points"]["maximum"] == MAX_GRID_POINTS
 
 
 # --- charge -------------------------------------------------------------------
@@ -481,6 +487,13 @@ def test_spectrum_has_no_table_box_settings(capsys, tmp_path, key):
      f"points must be at most {cli.MAX_POINTS}, got {cli.MAX_POINTS + 1}"),
     (("field", "--points", str(cli.MAX_POINTS + 1)),
      f"points must be at most {cli.MAX_POINTS}, got {cli.MAX_POINTS + 1}"),
+    # above the cap the mesh once misreported the level: "the mesh shows 7
+    # node(s), not 0" at ell = 200, a table holding 1.006 of the probability
+    # at ell = 10^6
+    (("spectrum", "--ell", str(MAX_ANGULAR_MOMENTUM + 1)),
+     f"angular momentum ell must be 0 to {MAX_ANGULAR_MOMENTUM}, got {MAX_ANGULAR_MOMENTUM + 1}"),
+    (("spectrum", "--ell", "1000000"),
+     f"angular momentum ell must be 0 to {MAX_ANGULAR_MOMENTUM}, got 1000000"),
 ])
 def test_size_caps_fail_before_any_allocation(capsys, monkeypatch, argv, message):
     # one above each cap; no radius is sampled and no solve starts
@@ -619,6 +632,20 @@ for command in ("derive", "charge", "potential", "linearize", "regime", "field")
         with contextlib.redirect_stdout(io.StringIO()):
             report["codes"].append(cli.main([command, "--format", form]))
 report["numpy_after_exact"] = "numpy" in sys.modules
+# a tabulated source: its construction and exterior kernels use exact moments
+import os, tempfile
+from comptonqcd import Quantity, load_source_csv, near_field_potential
+m = Quantity(1.0, 1)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "profile.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("r,eps\\n0.25,2\\n0.5,1\\n1,0\\n")
+    table = load_source_csv(path, m)
+for r in (1.0, 3.0):
+    near_field_potential(table, m, Quantity(r, -1))
+report["numpy_after_exterior"] = "numpy" in sys.modules
+near_field_potential(table, m, Quantity(0.5, -1))
+report["numpy_after_interior"] = "numpy" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     report["codes"].append(cli.main(["spectrum", "--grid-points", "2000"]))
 report["numpy_after_spectrum"] = "numpy" in sys.modules
@@ -631,7 +658,8 @@ def test_exact_subcommands_and_field_do_not_import_numpy():
     # a fresh interpreter, since this one has numpy loaded already; every layer
     # module must still be in sys.modules with the CLI, as the benchmark tracer
     # wraps them all, but the exact subcommands leave the solver and field
-    # layers unloaded
+    # layers unloaded, and a tabulated source leaves numpy unloaded until an
+    # interior point
     done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
                           capture_output=True, text=True, check=True)
     report = json.loads(done.stdout)
@@ -643,6 +671,10 @@ def test_exact_subcommands_and_field_do_not_import_numpy():
     assert report["codes"] == [0] * 19
     assert report["loaded_after_exact"] == []
     assert report["numpy_after_exact"] is False
+    # loading a table and its field outside the support need no numpy; an
+    # interior point runs Simpson quadrature, which does
+    assert report["numpy_after_exterior"] is False
+    assert report["numpy_after_interior"] is True
     assert report["dataclasses"] is False
     assert report["numpy_after_spectrum"] is True
 

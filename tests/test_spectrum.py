@@ -26,6 +26,7 @@ from comptonqcd.spectrum import (
     confinement_ratio,
     confinement_report,
     cover_extent,
+    MAX_ANGULAR_MOMENTUM,
     MAX_GRID_POINTS,
     solve_bound_state,
     virial_check,
@@ -409,6 +410,29 @@ def test_grid_cap_is_checked_before_any_allocation(monkeypatch):
     monkeypatch.setattr(np, "linspace", None)
     with pytest.raises(DomainError, match=f"^grid must have 1000 to {MAX_GRID_POINTS} points"):
         RadialProblem(COULOMB, Quantity(1.0, 1), 0, MAX_GRID_POINTS + 1)
+
+
+def test_angular_momentum_cap_is_where_the_mesh_holds(monkeypatch):
+    # hydrogen n = 1..10: right to 1.4e-13 at the cap; above it the centrifugal
+    # barrier outgrows the mesh, and at ell = 170 most levels show the wrong
+    # node count (8 of 10 on x86-64 with OpenBLAS)
+    for ell in (50, 90, MAX_ANGULAR_MOMENTUM):
+        for n in range(1, 11):
+            k = n + ell
+            state = solve_bound_state(RadialProblem(COULOMB, Quantity(1.0, 1), ell, 1000), n)
+            assert state.nodes == n - 1
+            assert abs(state.energy.value + 0.5 / k**2) <= 1e-12 * 0.5 / k**2
+    with pytest.raises(DomainError, match=f"^angular momentum ell must be 0 to "
+                                          f"{MAX_ANGULAR_MOMENTUM}, got 101$"):
+        RadialProblem(COULOMB, Quantity(1.0, 1), MAX_ANGULAR_MOMENTUM + 1)
+    monkeypatch.setattr(spectrum, "MAX_ANGULAR_MOMENTUM", 170)
+    failed = 0
+    for n in range(1, 11):
+        try:
+            solve_bound_state(RadialProblem(COULOMB, Quantity(1.0, 1), 170, 1000), n)
+        except GridTooSmall:
+            failed += 1
+    assert failed > 0
 
 
 def test_table_rows_end_at_the_cover():

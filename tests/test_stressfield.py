@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comptonqcd.errors import DomainError, InvalidDimension, InvalidSource, RegimeError
 from comptonqcd.natunits import Quantity
@@ -173,15 +174,83 @@ def test_table_shell_theorem():
         assert abs(got - 3.0 / r) <= 1e-10 * (3.0 / r)
 
 
-def test_table_normalization_enforced():
-    tab = uniform_like_table(total_energy=2.5)
-    # stored densities integrate back to the requested energy
-    from comptonqcd.stressfield import _table_integral
+def exact_table_integral(tab: RadialTable, coefficients: dict[int, Fraction]) -> Fraction:
+    """Int_0^R p(x) eps(x) dx in rationals, for p(x) = sum c_j x^j and the stored samples.
 
-    norm = _table_integral(
-        tab.radii, tab.densities, lambda x: 4.0 * math.pi * x * x, 0.0, 1.0
-    )
-    assert abs(norm - 2.5) <= 1e-10 * 2.5
+    eps is flat below the first radius and linear on each piece,
+    eps(x) = c0 + q x, so each piece contributes c0 (b^(j+1) - a^(j+1))/(j+1)
+    + q (b^(j+2) - a^(j+2))/(j+2) for each term, computed exactly.
+    """
+    radii = [Fraction(x) for x in tab.radii]
+    eps = [Fraction(e) for e in tab.densities]
+    pieces = [(Fraction(0), radii[0], eps[0], eps[0])] + list(
+        zip(radii, radii[1:], eps, eps[1:]))
+    total = Fraction(0)
+    for a, b, ea, eb in pieces:
+        if b == a:
+            continue
+        q = (eb - ea) / (b - a)
+        c0 = ea - q * a
+        for j, c in coefficients.items():
+            total += c * (c0 * (b ** (j + 1) - a ** (j + 1)) / (j + 1)
+                          + q * (b ** (j + 2) - a ** (j + 2)) / (j + 2))
+    return total
+
+
+def assert_exact_table(tab: RadialTable, rel: float = 1e-13) -> None:
+    """Normalization, moments and exterior kernels of a table against rationals.
+
+    M_k = 4 pi Int x^k eps dx.  At r >= R the radial reductions read
+    inverse: (2 pi / r) Int 2x^2 eps dx,
+    linear:  (2 pi / (3r)) Int (6r^2 x^2 + 2x^4) eps dx,
+    and at r = 0 the linear kernel is M_3.
+    """
+    from comptonqcd.stressfield import _moment
+
+    pi = Fraction(math.pi)
+
+    def close(got: float, want: Fraction) -> None:
+        assert abs(Fraction(got) - want) <= Fraction(rel) * abs(want), (got, float(want))
+
+    E = Fraction(tab.total_energy.value)
+    for k in (2, 3, 4):
+        close(_moment(tab.radii, tab.densities, k), 4 * pi * exact_table_integral(tab, {k: 1}))
+    close(E, 4 * pi * exact_table_integral(tab, {2: 1}))
+    close(radial_reduce_linear(tab, Quantity(0.0, -1)).value,
+          4 * pi * exact_table_integral(tab, {3: 1}))
+    big_r = tab.support_radius.value
+    for r in (big_r, big_r * (1.0 + 1e-12), 1.5 * big_r, 40.0 * big_r):
+        x = Fraction(r)
+        close(radial_reduce_inverse(tab, Quantity(r, -1)).value,
+              2 * pi / x * exact_table_integral(tab, {2: 2}))
+        close(radial_reduce_linear(tab, Quantity(r, -1)).value,
+              2 * pi / (3 * x) * exact_table_integral(tab, {2: 6 * x * x, 4: 2}))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(first=st.sampled_from([0.0, 0.3, 2.0]),
+       gaps=st.lists(st.floats(1e-6, 3.0), min_size=1, max_size=40),
+       data=st.data(),
+       total_energy=st.floats(0.01, 100.0))
+def test_table_moments_and_exterior_kernels_are_exact(first, gaps, data, total_energy):
+    radii = [first]
+    for gap in gaps:
+        radii.append(radii[-1] + gap)
+    densities = data.draw(st.lists(st.floats(0.0, 10.0), min_size=len(gaps),
+                                   max_size=len(gaps)), label="densities") + [0.0]
+    densities[0] += 0.5  # a profile that integrates to zero is rejected
+    assert_exact_table(RadialTable.from_samples(radii, densities, Quantity(total_energy, 1)))
+
+
+def test_table_normalization_enforced():
+    # stored densities integrate back to the requested energy, also across
+    # the 1e-9-wide last piece, where a monomial antiderivative cancels
+    tab = uniform_like_table(total_energy=2.5)
+    assert_exact_table(tab)
+    assert_exact_table(uniform_like_table(total_energy=0.7, big_r=3.0))
+    # a flat core below the first sample
+    offset = RadialTable.from_samples([0.5, 1.0, 2.0], [3.0, 1.0, 0.0], Quantity(2.0, 1))
+    assert_exact_table(offset)
 
 
 def test_direct_table_construction_rejects_unnormalized():

@@ -26,8 +26,7 @@ _EXPORTS = {
         "SingularConfiguration", "ToolkitError",
     ),
     "natunits": (
-        "E2_PAPER", "E2_PRECISE", "Quantity", "compton_wavelength", "make_quantity", "qarith",
-        "resolve_e_squared",
+        "E2_PAPER", "E2_PRECISE", "Quantity", "compton_wavelength", "resolve_e_squared",
     ),
     "quadrature": (),
     "stressfield": (
@@ -38,8 +37,7 @@ _EXPORTS = {
     "potential": (
         "CornellPotential", "QuarkConfiguration", "central_displacement_energy",
         "charge_fraction", "configuration_energy", "configuration_energy_fraction",
-        "configuration_from_json", "configuration_to_json", "confinement_slope",
-        "cornell_from_quark_mass", "cornell_zero_radius", "evaluate_cornell",
+        "confinement_slope", "cornell_from_quark_mass", "evaluate_cornell",
         "proton_configuration",
     ),
     "estimator": (

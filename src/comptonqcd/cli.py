@@ -65,11 +65,10 @@ _JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 class RunConfig:
     """Resolved common settings for one subcommand invocation."""
 
-    __slots__ = ("command", "e2_mode", "output_format", "output_path", "options")
+    __slots__ = ("e2_mode", "output_format", "output_path", "options")
 
-    def __init__(self, command: str, e2_mode: str, output_format: str,
-                 output_path: str | None, options: dict) -> None:
-        self.command = command
+    def __init__(self, e2_mode: str, output_format: str, output_path: str | None,
+                 options: dict) -> None:
         self.e2_mode = e2_mode
         self.output_format = output_format
         self.output_path = output_path
@@ -237,7 +236,6 @@ def resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         if e2_mode not in E2:
             parser.error(f"{ENV_E2} must be 'paper' or 'precise', got {raw_env!r}")
     return RunConfig(
-        command=args.command,
         e2_mode=e2_mode,
         output_format=settings.pop("output_format", args.default_format),
         output_path=settings.pop("output_path", None),
@@ -286,6 +284,9 @@ def _sample_range(opts: dict, r_start: float, r_stop: float) -> list[float]:
     if points < 2 or not 0.0 < r_start < r_stop:
         raise ToolkitError("need points >= 2 and 0 < r_start < r_stop")
     step = (r_stop - r_start) / (points - 1)
+    if not is_normal(step):
+        raise ToolkitError(f"the step {step:g} between {points} radii from {r_start:g} "
+                           f"to {r_stop:g} underflows float64")
     return [r_start + i * step for i in range(points)]
 
 
@@ -308,6 +309,7 @@ def _run_field(cfg: RunConfig) -> Output:
     opts = cfg.options
     m_quark = opts.get("m_quark", 1.0)
     d = opts.get("d", 3)
+    pot.charge_fraction(d)  # checks d also when no radius reaches the far field
     m = Quantity(m_quark, 1)
     src = sf.default_source(m)
     lam = compton_wavelength(m)

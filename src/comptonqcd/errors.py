@@ -1,5 +1,11 @@
 """Exception types shared across the toolkit."""
 
+__all__ = [
+    "ToolkitError", "InvalidQuantity", "DimensionError", "DivByZero", "InvalidMass",
+    "DomainError", "RegimeError", "InvalidDimension", "SingularConfiguration",
+    "InvalidSource", "NoBoundState", "GridTooSmall",
+]
+
 
 class ToolkitError(Exception):
     """Base class for every error raised by comptonqcd."""

@@ -23,8 +23,6 @@ from .errors import DimensionError, DivByZero, DomainError, InvalidMass, Invalid
 
 __all__ = [
     "Quantity",
-    "make_quantity",
-    "qarith",
     "compton_wavelength",
     "resolve_e_squared",
     "is_normal",
@@ -99,30 +97,41 @@ class Quantity(Frozen):
         object.__setattr__(self, "value", val)
         object.__setattr__(self, "dim", dim)
 
-    # Arithmetic delegates to qarith; bare numbers lift to dimension 0.
+    # Each forward operator computes its result; a reflected one lifts the
+    # bare number to a dim-0 Quantity and hands it to the forward operator.
     def __add__(self, other: "Quantity | float | int") -> "Quantity":
-        return qarith(self, _lift(other), "add")
+        value, dim = _operand(other)
+        if dim != self.dim:
+            raise DimensionError(f"cannot add dim {self.dim} and dim {dim}")
+        return Quantity(self.value + value, dim)
 
     def __radd__(self, other: "float | int") -> "Quantity":
-        return qarith(_lift(other), self, "add")
+        return Quantity(other, 0) + self
 
     def __sub__(self, other: "Quantity | float | int") -> "Quantity":
-        return qarith(self, _lift(other), "sub")
+        value, dim = _operand(other)
+        if dim != self.dim:
+            raise DimensionError(f"cannot sub dim {self.dim} and dim {dim}")
+        return Quantity(self.value - value, dim)
 
     def __rsub__(self, other: "float | int") -> "Quantity":
-        return qarith(_lift(other), self, "sub")
+        return Quantity(other, 0) - self
 
     def __mul__(self, other: "Quantity | float | int") -> "Quantity":
-        return qarith(self, _lift(other), "mul")
+        value, dim = _operand(other)
+        return Quantity(self.value * value, self.dim + dim)
 
     def __rmul__(self, other: "float | int") -> "Quantity":
-        return qarith(_lift(other), self, "mul")
+        return Quantity(other, 0) * self
 
     def __truediv__(self, other: "Quantity | float | int") -> "Quantity":
-        return qarith(self, _lift(other), "div")
+        value, dim = _operand(other)
+        if value == 0.0:
+            raise DivByZero("division by a zero quantity")
+        return Quantity(self.value / value, self.dim - dim)
 
     def __rtruediv__(self, other: "float | int") -> "Quantity":
-        return qarith(_lift(other), self, "div")
+        return Quantity(other, 0) / self
 
     def __neg__(self) -> "Quantity":
         return Quantity(-self.value, self.dim)
@@ -130,38 +139,20 @@ class Quantity(Frozen):
     def __pow__(self, exponent: int) -> "Quantity":
         if isinstance(exponent, bool) or not isinstance(exponent, int):
             raise DimensionError("quantity exponents must be integers")
-        return Quantity(self.value**exponent, self.dim * exponent)
-
-
-def _lift(x: Quantity | float | int) -> Quantity:
-    if isinstance(x, Quantity):
-        return x
-    return Quantity(x, 0)
-
-
-def make_quantity(value: float, dim: int) -> Quantity:
-    """Construct a Quantity, rejecting non-finite values and fractional dims."""
-    return Quantity(value, dim)
-
-
-def qarith(a: Quantity, b: Quantity, op: str) -> Quantity:
-    """Combine two quantities: 'add' | 'sub' | 'mul' | 'div'.
-
-    Addition and subtraction require equal dims; multiplication adds dims and
-    division subtracts them (exact integer bookkeeping).
-    """
-    if op == "add" or op == "sub":
-        if a.dim != b.dim:
-            raise DimensionError(f"cannot {op} dim {a.dim} and dim {b.dim}")
-        value = a.value + b.value if op == "add" else a.value - b.value
-        return Quantity(value, a.dim)
-    if op == "mul":
-        return Quantity(a.value * b.value, a.dim + b.dim)
-    if op == "div":
-        if b.value == 0.0:
+        if exponent < 0 and self.value == 0.0:
             raise DivByZero("division by a zero quantity")
-        return Quantity(a.value / b.value, a.dim - b.dim)
-    raise DomainError(f"unknown operation {op!r}")
+        try:
+            value = self.value**exponent
+        except OverflowError:  # float ** int raises where float * float gives inf
+            value = math.inf
+        return Quantity(value, self.dim * exponent)
+
+
+def _operand(x: Quantity | float | int) -> tuple[float, int]:
+    """The value and dim of an operand; a bare number is checked as a dim-0 Quantity."""
+    if not isinstance(x, Quantity):
+        x = Quantity(x, 0)
+    return x.value, x.dim
 
 
 def compton_wavelength(m: Quantity) -> Quantity:

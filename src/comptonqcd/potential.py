@@ -23,7 +23,6 @@ are exposed so the relationship stays visible; see
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 
@@ -40,15 +39,12 @@ __all__ = [
     "QuarkConfiguration",
     "cornell_from_quark_mass",
     "evaluate_cornell",
-    "cornell_zero_radius",
     "charge_fraction",
     "proton_configuration",
     "configuration_energy",
     "configuration_energy_fraction",
     "central_displacement_energy",
     "confinement_slope",
-    "configuration_to_json",
-    "configuration_from_json",
 ]
 
 
@@ -67,45 +63,38 @@ class CornellPotential(Frozen):
         self._fill(alpha, sigma)
 
 
-def cornell_from_quark_mass(
-    m_quark: Quantity, separation: Quantity | None = None
-) -> CornellPotential:
+def cornell_from_quark_mass(m_quark: Quantity) -> CornellPotential:
     """Build the model potential for a quark mass: alpha = 1, sigma = m_e*m.
 
-    The confinement length defaults to the Compton wavelength 1/m; passing
-    ``separation`` overrides it, giving sigma = m_e / (m * l^2).
+    The confinement length is the quark's Compton wavelength 1/m.
     """
     if m_quark.dim != 1:
         raise InvalidMass(f"quark mass must have dim 1, got dim {m_quark.dim}")
     if m_quark.value <= 0.0:
         raise InvalidMass(f"quark mass must be positive, got {m_quark.value}")
-    if separation is None:
-        # beta * m_e / l^2 with beta = 1/m and l = 1/m collapses to m exactly
-        return CornellPotential(Quantity(1.0, 0), Quantity(m_quark.value, 2))
-    if separation.dim != -1 or separation.value <= 0.0:
-        raise DomainError("separation must be a positive length (dim -1)")
-    sigma = 1.0 / (m_quark.value * separation.value**2)  # m_e = 1 in natural units
-    return CornellPotential(Quantity(1.0, 0), Quantity(sigma, 2))
+    # beta * m_e / l^2 with beta = 1/m and l = 1/m collapses to m exactly
+    return CornellPotential(Quantity(1.0, 0), Quantity(m_quark.value, 2))
 
 
 def evaluate_cornell(potential: CornellPotential, r: Quantity) -> Quantity:
-    """Evaluate -alpha/r + sigma*r at a positive radius."""
+    """Evaluate -alpha/r + sigma*r at a positive radius.
+
+    Each term with a non-zero coefficient must be a normal float64, or
+    :class:`DomainError` is raised; V itself is zero at the crossover radius
+    sqrt(alpha/sigma).
+    """
     if r.dim != -1:
         raise DomainError(f"radius must have dim -1, got dim {r.dim}")
     if r.value <= 0.0:
         raise DomainError(f"radius must be positive, got {r.value}")
-    return Quantity(-potential.alpha.value / r.value + potential.sigma.value * r.value, 1)
-
-
-def cornell_zero_radius(potential: CornellPotential) -> Quantity:
-    """Radius sqrt(alpha/sigma) where the linear term overtakes the Coulomb term.
-
-    V is strictly increasing (dV/dr = alpha/r^2 + sigma > 0), so this is the
-    unique zero of V and the argmin of |V|, not a stationary point.
-    """
-    if potential.alpha.value <= 0.0 or potential.sigma.value <= 0.0:
-        raise DomainError("both terms must be present for a crossover radius")
-    return Quantity(math.sqrt(potential.alpha.value / potential.sigma.value), -1)
+    alpha, sigma = potential.alpha.value, potential.sigma.value
+    coulomb, linear = alpha / r.value, sigma * r.value
+    for coefficient, term in ((alpha, coulomb), (sigma, linear)):
+        if coefficient != 0.0 and not is_normal(term):
+            bound = "overflows" if math.isinf(term) else "underflows"
+            raise DomainError(f"V at alpha = {alpha:g}, sigma = {sigma:g}, "
+                              f"r = {r.value:g} {bound} float64")
+    return Quantity(-coulomb + linear, 1)
 
 
 def charge_fraction(d: int) -> Fraction:
@@ -140,8 +129,6 @@ class QuarkConfiguration(Frozen):
 
 def proton_configuration(separation: Quantity) -> QuarkConfiguration:
     """Two charges 2/3 at -l and +l with a central charge -1/3 at the origin."""
-    if separation.dim != -1 or separation.value <= 0.0:
-        raise DomainError("separation must be a positive length (dim -1)")
     return QuarkConfiguration(
         charges=(Fraction(2, 3), Fraction(-1, 3), Fraction(2, 3)),
         positions=(-1.0, 0.0, 1.0),
@@ -245,31 +232,3 @@ def confinement_slope(
         raise DomainError(f"l = {separation.value:g} puts the declared slope "
                           "e^2/(9 l^2) outside float64")
     return Quantity(value, 2)
-
-
-def configuration_to_json(cfg: QuarkConfiguration) -> str:
-    """Serialize to the wire form {"charges": [...], "positions": [...], "l": ...}.
-
-    Charges travel as rational strings ("2/3") so the round trip is bit exact.
-    """
-    payload = {
-        "charges": [str(q) for q in cfg.charges],
-        "positions": list(cfg.positions),
-        "l": cfg.separation.value,
-    }
-    return json.dumps(payload)
-
-
-def configuration_from_json(text: str) -> QuarkConfiguration:
-    """Parse the JSON wire form produced by :func:`configuration_to_json`."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid configuration JSON: {exc}") from exc
-    try:
-        charges = tuple(Fraction(s) for s in payload["charges"])
-        positions = tuple(float(x) for x in payload["positions"])
-        separation = Quantity(float(payload["l"]), -1)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"invalid configuration JSON: {exc}") from exc
-    return QuarkConfiguration(charges, positions, separation)

@@ -265,6 +265,9 @@ def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
         if not (math.isfinite(norm) and math.isfinite(rms)):
             raise DomainError(f"level {n}: the output table overflows float64 "
                               f"(r_max = {extent:g})")
+        if not is_normal(rms):
+            raise DomainError(f"level {n}: the RMS radius underflows float64 "
+                              f"(r_max = {extent:g})")
         if abs(1.0 - norm) > _NORM_TOL:
             raise GridTooSmall(f"level {n}: [0, {extent:g}] holds {norm:.9g} of the probability")
     return BoundState(

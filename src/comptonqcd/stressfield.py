@@ -328,24 +328,32 @@ def near_field_potential(src: SourceDensity, m: Quantity, r: Quantity) -> Quanti
     The m^2 factor on the linear term models the second time derivative of
     the source through the Compton-frequency substitution; the additive
     constant terms carry no r dependence and are dropped.  Every factor is
-    positive, so one that is not a normal float64 raises :class:`DomainError`.
+    positive, so one that is not a normal float64 raises :class:`DomainError`
+    before any Quantity is built from it.
     """
     _check_energy(m, "m")
     if m.value <= 0.0:
         raise DomainError("mass must be positive")
-    inv = radial_reduce_inverse(src, r)
-    lin = radial_reduce_linear(src, r)
-    inverse_term = 4.0 * (m * inv)
-    cube = m**3
+    inv = radial_reduce_inverse(src, r).value
+    lin = radial_reduce_linear(src, r).value
+    try:
+        cube = m.value**3
+    except OverflowError:
+        cube = math.inf
+    inverse_term = 4.0 * (m.value * inv)
     linear_term = 2.0 * (cube * lin)
-    if not is_normal(inv.value, lin.value, cube.value, inverse_term.value, linear_term.value):
+    total = inverse_term + linear_term
+    terms = (inv, lin, cube, inverse_term, linear_term, total)
+    if not is_normal(*terms):
+        bound = "overflows" if math.inf in terms else "underflows"
         raise DomainError(f"the near field at m = {m.value:g}, r = {r.value:g} "
-                          "underflows float64")
-    return inverse_term + linear_term
+                          f"{bound} float64")
+    # m * inverse kernel and m^3 * linear kernel both have dim 3
+    return Quantity(total, 3)
 
 
 def far_field_coupling(
-    src: SourceDensity | None,
+    src: SourceDensity,
     m: Quantity,
     d: int,
     r: Quantity,
@@ -357,12 +365,11 @@ def far_field_coupling(
     Each of the d diagonal stress components contributes one third of the
     energy density, so three dimensions reproduce the full Coulomb coupling
     e^2/r for the default source (the calibration anchor), and one or two
-    dimensions leave the fractions 1/3 and 2/3.
+    dimensions leave the fractions 1/3 and 2/3.  The coupling is positive, so
+    one that is not a normal float64 raises :class:`DomainError`.
     """
     if isinstance(d, bool) or not isinstance(d, int) or d not in (1, 2, 3):
         raise InvalidDimension(f"spatial dimension must be 1, 2, or 3, got {d!r}")
-    if src is None:
-        src = default_source(m)
     _check_radius(r, "r")
     lam = compton_wavelength(m)
     if r.value <= lam.value:
@@ -371,4 +378,10 @@ def far_field_coupling(
         )
     e2 = resolve_e_squared(e_squared)
     energy_ratio = src.total_energy.value / m.value
-    return Quantity(float(Fraction(d, 3)) * float(e2) * energy_ratio / r.value, 1)
+    value = float(Fraction(d, 3)) * float(e2) * energy_ratio / r.value
+    terms = (energy_ratio, value)
+    if not is_normal(*terms):
+        bound = "overflows" if math.inf in terms else "underflows"
+        raise DomainError(f"the far field at d = {d}, m = {m.value:g}, r = {r.value:g} "
+                          f"{bound} float64")
+    return Quantity(value, 1)

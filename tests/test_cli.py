@@ -368,6 +368,40 @@ def test_field_near_field_underflow_is_computation_error(capsys, m_quark, r):
     assert err == f"error: the near field at m = {m_quark}, r = {r} underflows float64\n"
 
 
+# each once exited 0 with a subnormal or zero in its output or an unchecked d,
+# exited 1 with "value must be finite, got inf", which names no input, or
+# ended in an OverflowError traceback from m**3
+_BAD_VALUE_CASES = {
+    "field-far-subnormal": ("field --d 1 --r-start 1e306 --r-stop 2e306 --points 2",
+                            "the far field at d = 1, m = 1, r = 1e+306 underflows float64"),
+    "field-wide-range": ("field --r-start 1e306 --r-stop 1e308 --points 2",
+                         "the far field at d = 3, m = 1, r = 1e+306 underflows float64"),
+    "field-cube-overflow": ("field --m-quark 1e110 --r-start 1e190 --r-stop 1e191 --points 2",
+                            "the near field at m = 1e+110, r = 1e+190 overflows float64"),
+    "field-subnormal-step": ("field --r-start 5e-324 --r-stop 1e-320 --points 3",
+                             "the step 4.99994e-321 between 3 radii from 4.94066e-324 "
+                             "to 9.99989e-321 underflows float64"),
+    "field-d-unchecked": ("field --d 0 --r-stop 0.5 --points 2",
+                          "spatial dimension must be 1, 2, or 3, got 0"),
+    "potential-coulomb-subnormal": (
+        "potential --alpha 1e-300 --r-start 1e10 --r-stop 1e11 --points 2",
+        "V at alpha = 1e-300, sigma = 0, r = 1e+10 underflows float64"),
+    "potential-linear-inf": ("potential --sigma 1e300 --r-start 1e10 --r-stop 1e11 --points 2",
+                             "V at alpha = 1, sigma = 1e+300, r = 1e+10 overflows float64"),
+    "spectrum-rms-zero": ("spectrum --mu 3.04e161",
+                          "level 1: the RMS radius underflows float64 (r_max = 5.59211e-161)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_VALUE_CASES))
+def test_bad_values_are_errors_naming_the_inputs(capsys, case):
+    argv, message = _BAD_VALUE_CASES[case]
+    code, out, err = run_cli(capsys, *argv.split(), "--format", "json")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # --- linearize ---------------------------------------------------------------------
 
 
@@ -713,6 +747,20 @@ def _no_constant(name):
     raise AssertionError(f"JSON output holds {name}")
 
 
+def _subnormals(text: str) -> list[float]:
+    """The subnormal numbers in a JSON text."""
+    found = []
+
+    def parse_float(token):
+        value = float(token)
+        if value != 0.0 and abs(value) < sys.float_info.min:
+            found.append(value)
+        return value
+
+    json.loads(text, parse_float=parse_float)
+    return found
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_input_domain_sweep(data):
@@ -751,5 +799,9 @@ def test_input_domain_sweep(data):
             texts.append(out.getvalue() if path is None else Path(path).read_text("utf-8"))
         if path is not None and os.path.exists(path + ".json"):
             texts.append(Path(path + ".json").read_text("utf-8"))
+        # a computed value that is non-zero in exact arithmetic is a normal
+        # float64, so only an input can print as a subnormal
+        inputs = [value for value in values.values() if isinstance(value, float)]
         for text in texts:
             validate(command, json.loads(text, parse_constant=_no_constant))
+            assert [x for x in _subnormals(text) if x not in inputs] == []

@@ -24,8 +24,6 @@ from comptonqcd.natunits import (
     Quantity,
     compton_wavelength,
     is_normal,
-    make_quantity,
-    qarith,
     resolve_e_squared,
 )
 from comptonqcd.cli import Output, RunConfig
@@ -36,20 +34,20 @@ from comptonqcd.stressfield import RadialTable, UniformBall
 
 
 def test_make_quantity_identity():
-    q = make_quantity(2.0, 1)
+    q = Quantity(2.0, 1)
     assert q.value == 2.0 and q.dim == 1
 
 
 def test_make_quantity_zero():
-    q = make_quantity(0.0, -1)
+    q = Quantity(0.0, -1)
     assert q.value == 0.0 and q.dim == -1
 
 
 def test_make_quantity_rejects_nan_and_inf():
     with pytest.raises(InvalidQuantity):
-        make_quantity(float("nan"), 0)
+        Quantity(float("nan"), 0)
     with pytest.raises(InvalidQuantity):
-        make_quantity(float("inf"), 2)
+        Quantity(float("inf"), 2)
 
 
 def test_quantity_accepts_numpy_real_scalars_but_not_bools():
@@ -67,28 +65,34 @@ def test_make_quantity_rejects_fractional_dim():
 
 
 def test_qarith_mul_cancels_dims():
-    out = qarith(Quantity(3.0, 1), Quantity(2.0, -1), "mul")
+    out = Quantity(3.0, 1) * Quantity(2.0, -1)
     assert out.value == 6.0 and out.dim == 0
 
 
 def test_qarith_add_mismatch_raises():
-    with pytest.raises(DimensionError):
-        qarith(Quantity(1.0, 1), Quantity(1.0, 0), "add")
+    # a bare number is dim 0, on either side
+    for add in (lambda: Quantity(1.0, 1) + Quantity(1.0, 0), lambda: Quantity(1.0, 1) + 1.0,
+                lambda: 1.0 + Quantity(1.0, 1), lambda: Quantity(1.0, 1) - 1,
+                lambda: 1 - Quantity(1.0, 1)):
+        with pytest.raises(DimensionError):
+            add()
+    assert (2.0 - Quantity(0.5, 0)).value == 1.5 and (1 + Quantity(0.5, 0)).value == 1.5
 
 
 def test_qarith_div_reciprocal_length():
-    out = qarith(Quantity(1.0, 0), Quantity(4.0, 1), "div")
+    out = Quantity(1.0, 0) / Quantity(4.0, 1)
+    assert out.value == 0.25 and out.dim == -1
+    out = 1.0 / Quantity(4.0, 1)
     assert out.value == 0.25 and out.dim == -1
 
 
 def test_qarith_div_by_zero():
     with pytest.raises(DivByZero):
-        qarith(Quantity(1.0, 0), Quantity(0.0, 1), "div")
-
-
-def test_qarith_unknown_op():
-    with pytest.raises(DomainError):
-        qarith(Quantity(1.0, 0), Quantity(1.0, 0), "pow")
+        Quantity(1.0, 0) / Quantity(0.0, 1)
+    with pytest.raises(DivByZero):
+        Quantity(1.0, 0) / 0
+    with pytest.raises(DivByZero):
+        2.0 / Quantity(-0.0, 1)
 
 
 def test_operator_sugar_matches_qarith():
@@ -98,6 +102,18 @@ def test_operator_sugar_matches_qarith():
     assert (2.0 * b).value == 3.0 and (2.0 * b).dim == -1
     assert (a + Quantity(1.0, 2)).value == 4.0
     assert (a**3).dim == 6
+    for operand in ("3", None, True, float("nan")):
+        with pytest.raises(InvalidQuantity):
+            a * operand
+
+
+def test_pow_out_of_range_is_a_toolkit_error():
+    # these once raised a bare OverflowError and ZeroDivisionError
+    with pytest.raises(InvalidQuantity, match="finite"):
+        Quantity(1e200, 1) ** 2
+    with pytest.raises(DivByZero):
+        Quantity(0.0, 1) ** -1
+    assert Quantity(2.0, 1) ** -2 == Quantity(0.25, -2)
 
 
 @given(
@@ -107,14 +123,15 @@ def test_operator_sugar_matches_qarith():
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
 )
 def test_mul_adds_dims_property(da, db, va, vb):
-    out = qarith(Quantity(va, da), Quantity(vb, db), "mul")
+    out = Quantity(va, da) * Quantity(vb, db)
     assert out.dim == da + db
+    assert out.value == va * vb
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
 def test_compton_times_mass_is_unity(m):
     lam = compton_wavelength(Quantity(m, 1))
-    prod = qarith(lam, Quantity(m, 1), "mul")
+    prod = lam * Quantity(m, 1)
     assert prod.dim == 0
     assert abs(prod.value - 1.0) < 1e-12
 
@@ -247,7 +264,7 @@ def test_bound_state_is_frozen_with_identity_equality():
 
 
 def test_cli_records_take_keywords_and_hold_no_dict():
-    config = RunConfig(command="derive", e2_mode="precise", output_format="json",
+    config = RunConfig(e2_mode="precise", output_format="json",
                        output_path=None, options={})
     out = Output(payload={}, rows=[])
     assert (config.e2_mode, out.table_rows, out.title, out.sidecar) == ("precise", None, "", False)

@@ -1,7 +1,7 @@
 """Cornell potential, exact fractions, and the three-quark line energies."""
 
-import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,11 +21,8 @@ from comptonqcd.potential import (
     charge_fraction,
     configuration_energy,
     configuration_energy_fraction,
-    configuration_from_json,
-    configuration_to_json,
     confinement_slope,
     cornell_from_quark_mass,
-    cornell_zero_radius,
     evaluate_cornell,
     proton_configuration,
 )
@@ -46,11 +43,6 @@ def test_cornell_from_chain_mass():
 
 def test_cornell_sigma_linear_in_mass():
     assert cornell_from_quark_mass(Quantity(2.0, 1)).sigma.value == 2.0
-
-
-def test_cornell_separation_override():
-    v = cornell_from_quark_mass(Quantity(4.0, 1), separation=Quantity(0.5, -1))
-    assert v.sigma.value == pytest.approx(1.0, rel=1e-15)  # 1/(m l^2)
 
 
 def test_cornell_rejects_bad_mass():
@@ -78,9 +70,23 @@ def test_evaluate_cornell_domain_error():
         evaluate_cornell(v, Quantity(-1.0, -1))
 
 
+@pytest.mark.parametrize("alpha, sigma, r, bound", [
+    (1e-300, 0.0, 1e10, "underflows"),  # once returned the subnormal -1e-310
+    (1.0, 1e300, 1e10, "overflows"),  # once ended in "value must be finite, got inf"
+    (1e300, 1.0, 1e-10, "overflows"),
+    (0.0, 1e-300, 1e-10, "underflows"),
+])
+def test_evaluate_cornell_term_outside_float64_is_domain_error(alpha, sigma, r, bound):
+    v = CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2))
+    message = f"V at alpha = {alpha:g}, sigma = {sigma:g}, r = {r:g} {bound} float64"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        evaluate_cornell(v, Quantity(r, -1))
+
+
 def test_cornell_is_strictly_increasing_with_unique_zero():
     v = CornellPotential(Quantity(1.0, 0), Quantity(4.0, 2))
-    r_star = cornell_zero_radius(v)
+    # the crossover radius sqrt(alpha/sigma)
+    r_star = Quantity(math.sqrt(v.alpha.value / v.sigma.value), -1)
     assert r_star.value == 0.5
     assert evaluate_cornell(v, r_star).value == pytest.approx(0.0, abs=1e-14)
     rs = np.geomspace(0.01, 100.0, 500)
@@ -248,22 +254,3 @@ def test_single_pair_slope_is_twice_declared():
     slope = abs(pair_energy(h) - pair_energy(-h)) / (2.0 * h)
     declared = confinement_slope(sep).value
     assert abs(slope - 2.0 * declared) <= 1e-6 * (2.0 * declared)
-
-
-def test_configuration_json_round_trip_bit_exact():
-    cfg = proton_configuration(Quantity(0.7071067811865476, -1))
-    text = configuration_to_json(cfg)
-    payload = json.loads(text)
-    assert payload["charges"] == ["2/3", "-1/3", "2/3"]
-    back = configuration_from_json(text)
-    assert back.charges == cfg.charges
-    assert back.positions == cfg.positions
-    assert back.separation.value == cfg.separation.value
-    assert configuration_to_json(back) == text
-
-
-def test_configuration_json_rejects_malformed():
-    with pytest.raises(DomainError):
-        configuration_from_json("{not json")
-    with pytest.raises(DomainError):
-        configuration_from_json(json.dumps({"charges": ["1/3"]}))

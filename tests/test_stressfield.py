@@ -11,6 +11,7 @@ and stay independent of the quadrature path they check.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -316,6 +317,16 @@ def test_near_field_point_value():
     assert got.dim == 3
 
 
+@pytest.mark.parametrize("m, r", [(1e110, 1e190), (1e100, 1e10), (1.0, 1e308)])
+def test_near_field_overflow_is_domain_error(m, r):
+    # m**3 alone overflows at m = 1e110, which once raised a bare OverflowError;
+    # the linear term overflows in the other two
+    mass = Quantity(m, 1)
+    message = f"near field at m = {m:g}, r = {r:g} overflows"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        near_field_potential(default_source(mass), mass, Quantity(r, -1))
+
+
 def test_near_field_slope_approaches_linear_coefficient():
     m = Quantity(1.0, 1)
     r, h = 300.0, 0.05
@@ -368,9 +379,10 @@ def test_far_field_calibration_anchor():
     m = Quantity(1.0, 1)
     r = Quantity(2.0, -1)
     e2 = 1.0 / 137.0
-    assert far_field_coupling(None, m, 3, r).value == e2 / 2.0
-    assert far_field_coupling(None, m, 2, r).value == pytest.approx(2.0 / 3.0 * e2 / 2.0, rel=1e-15)
-    assert far_field_coupling(None, m, 1, r).value == pytest.approx(1.0 / 3.0 * e2 / 2.0, rel=1e-15)
+    src = default_source(m)
+    assert far_field_coupling(src, m, 3, r).value == e2 / 2.0
+    assert far_field_coupling(src, m, 2, r).value == pytest.approx(2.0 / 3.0 * e2 / 2.0, rel=1e-15)
+    assert far_field_coupling(src, m, 1, r).value == pytest.approx(1.0 / 3.0 * e2 / 2.0, rel=1e-15)
 
 
 def test_far_field_fraction_ratio_exact():
@@ -379,20 +391,34 @@ def test_far_field_fraction_ratio_exact():
         assert Fraction(d, 3) / Fraction(3, 3) == Fraction(d, 3)
     m = Quantity(2.0, 1)
     r = Quantity(5.0, -1)
-    base = far_field_coupling(None, m, 3, r).value
-    assert far_field_coupling(None, m, 1, r).value == pytest.approx(base / 3.0, rel=1e-15)
+    src = default_source(m)
+    base = far_field_coupling(src, m, 3, r).value
+    assert far_field_coupling(src, m, 1, r).value == pytest.approx(base / 3.0, rel=1e-15)
+
+
+def test_far_field_outside_float64_is_domain_error():
+    m = Quantity(1.0, 1)
+    message = "far field at d = 1, m = 1, r = 1e+306 underflows"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        far_field_coupling(default_source(m), m, 1, Quantity(1e306, -1))
+    # the source's energy over the mass leaves float64
+    light, heavy = Quantity(1e-300, 1), UniformBall(Quantity(1.0, -1), Quantity(1e300, 1))
+    message = "far field at d = 3, m = 1e-300, r = 1e+301 overflows"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        far_field_coupling(heavy, light, 3, Quantity(1e301, -1))
 
 
 def test_far_field_regime_and_dimension_errors():
     m = Quantity(1.0, 1)
+    src = default_source(m)
     with pytest.raises(RegimeError):
-        far_field_coupling(None, m, 3, Quantity(0.5, -1))
+        far_field_coupling(src, m, 3, Quantity(0.5, -1))
     with pytest.raises(RegimeError):
-        far_field_coupling(None, m, 3, Quantity(1.0, -1))  # boundary is inside
+        far_field_coupling(src, m, 3, Quantity(1.0, -1))  # boundary is inside
     with pytest.raises(InvalidDimension):
-        far_field_coupling(None, m, 4, Quantity(2.0, -1))
+        far_field_coupling(src, m, 4, Quantity(2.0, -1))
     with pytest.raises(InvalidDimension):
-        far_field_coupling(None, m, 0, Quantity(2.0, -1))
+        far_field_coupling(src, m, 0, Quantity(2.0, -1))
 
 
 def test_default_source_shape():

@@ -81,19 +81,21 @@ class Output:
     ``payload`` is the JSON form.  ``rows`` is the CSV header then its data
     rows, as raw values; it may be lazy, since only the printed form reads it.
     The table form aligns ``table_rows`` (default: ``rows``) under ``title``.
+    ``csv_lines``, when set, are the CSV form's lines, in place of ``rows``.
     With ``sidecar`` set, a CSV written to a file gets its JSON form beside it.
     """
 
-    __slots__ = ("payload", "rows", "table_rows", "title", "sidecar")
+    __slots__ = ("payload", "rows", "table_rows", "title", "sidecar", "csv_lines")
 
-    def __init__(self, payload: dict, rows: Iterable[Sequence],
+    def __init__(self, payload: dict, rows: Iterable[Sequence] = (),
                  table_rows: Iterable[Sequence] | None = None, title: str = "",
-                 sidecar: bool = False) -> None:
+                 sidecar: bool = False, csv_lines: Iterable[str] | None = None) -> None:
         self.payload = payload
         self.rows = rows
         self.table_rows = table_rows
         self.title = title
         self.sidecar = sidecar
+        self.csv_lines = csv_lines
 
 
 def fmt(x: float) -> str:
@@ -389,10 +391,15 @@ def _run_linearize(cfg: RunConfig) -> Output:
     return Output({"e2_mode": cfg.e2_mode, **values}, _record(values))
 
 
-def _wave_rows(state: spec.BoundState) -> Iterator[Sequence]:
-    """The r,u table as Python floats; a generator, so the JSON form never builds it."""
-    yield ("r", "u")
-    yield from zip(state.radii.tolist(), state.u.tolist())
+def _wave_lines(state: spec.BoundState) -> Iterator[str]:
+    """The r,u table's CSV lines; a generator, so the JSON form never builds it.
+
+    Every cell is a float, so one format string per row applies fmt's rule at
+    the cost of the row's bytes.  The generator drops the solved state when it
+    ends, before the joined text is allocated.
+    """
+    yield "r,u\n"
+    yield from map("%.10g,%.10g\n".__mod__, zip(state.radii.tolist(), state.u.tolist()))
 
 
 def _run_spectrum(cfg: RunConfig) -> Output:
@@ -403,7 +410,8 @@ def _run_spectrum(cfg: RunConfig) -> Output:
                                  opts.get("grid_points", spec.DEFAULT_GRID_POINTS))
     state = spec.solve_bound_state(problem, opts.get("n", 1))
     payload = spec.bound_state_sidecar(state, problem)
-    return Output(payload, _wave_rows(state), table_rows=_record(payload), sidecar=True)
+    return Output(payload, table_rows=_record(payload), sidecar=True,
+                  csv_lines=_wave_lines(state))
 
 
 def _run_confinement(cfg: RunConfig) -> Output:
@@ -435,6 +443,8 @@ def _render(out: Output, output_format: str) -> str:
     if output_format == "json":
         return json.dumps(out.payload, indent=2) + "\n"
     if output_format == "csv":
+        if out.csv_lines is not None:
+            return "".join(out.csv_lines)
         return "".join(",".join(map(_cell, row)) + "\n" for row in out.rows)
     rows = [[_cell(value) for value in row] for row in (out.table_rows or out.rows)]
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
@@ -476,6 +486,22 @@ def console_main() -> None:
     costs CPU the main thread never needs.  OpenBLAS reads its thread count
     when numpy loads, which no import of this package does, so the default set
     here reaches the first solve; a value already in the environment wins.
+
+    Once :func:`main` returns, the process flushes stdout and stderr and ends
+    with ``os._exit``, skipping interpreter teardown, which the work never
+    needs: ``main`` has closed every output file, and freeing the loaded
+    modules, numpy's above all, costs 10-25 ms of CPU.  ``atexit`` hooks
+    therefore do not run in this process.  A flush that fails raises
+    SystemExit instead, so that teardown reports the failure as it always
+    has; argparse's exits (usage errors, ``--help``) and unexpected
+    exceptions also leave through teardown.  :func:`main` itself never ends
+    the process.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        raise SystemExit(code)
+    os._exit(code)

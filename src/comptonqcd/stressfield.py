@@ -118,7 +118,7 @@ class RadialTable(Frozen):
             raise InvalidSource("support radius must equal the last sampled radius")
         if total_energy.value <= 0.0:
             raise InvalidSource("total energy must be positive")
-        norm = _moment(radii, densities, 2)
+        norm = _energy_moment(radii, densities)
         if abs(norm - total_energy.value) > 1e-10 * total_energy.value:
             raise InvalidSource(
                 "densities are not normalized to the total energy; "
@@ -139,7 +139,7 @@ class RadialTable(Frozen):
         _check_energy(total_energy, "total_energy")
         if total_energy.value <= 0.0:
             raise InvalidSource("total energy must be positive")
-        norm = _moment(r, eps, 2)
+        norm = _energy_moment(r, eps)
         if norm <= 0.0:
             raise InvalidSource("profile integrates to zero energy")
         scale = total_energy.value / norm
@@ -206,20 +206,34 @@ def _moment(radii: tuple[float, ...], densities: tuple[float, ...], k: int) -> f
     times a positive weight, so nothing cancels, however narrow the piece;
     a monomial antiderivative c0 (b^(k+1) - a^(k+1))/(k+1) + ... would lose
     digits to cancellation on a narrow piece far from the origin.  The flat
-    segment below radii[0] enters in closed form.
+    segment below radii[0] enters in closed form.  A moment past float64's
+    range comes back as inf or nan, never as an exception: ``float ** int``
+    raises OverflowError where ``float * float`` gives inf.
     """
     s0, s2 = _GAUSS_S, 1.0 - _GAUSS_S
     total = 0.0
-    for a, b, ea, eb in zip(radii, radii[1:], densities, densities[1:]):
-        h = b - a
-        # eps at the nodes, interpolated without differences
-        total += h * (
-            5.0 * (a + s0 * h) ** k * (s2 * ea + s0 * eb)
-            + 4.0 * (a + 0.5 * h) ** k * (ea + eb)
-            + 5.0 * (a + s2 * h) ** k * (s0 * ea + s2 * eb)
-        )
-    flat = densities[0] * radii[0] ** (k + 1) / (k + 1)
+    try:
+        for a, b, ea, eb in zip(radii, radii[1:], densities, densities[1:]):
+            h = b - a
+            # eps at the nodes, interpolated without differences
+            total += h * (
+                5.0 * (a + s0 * h) ** k * (s2 * ea + s0 * eb)
+                + 4.0 * (a + 0.5 * h) ** k * (ea + eb)
+                + 5.0 * (a + s2 * h) ** k * (s0 * ea + s2 * eb)
+            )
+        flat = densities[0] * radii[0] ** (k + 1) / (k + 1)
+    except OverflowError:
+        return math.inf
     return 4.0 * math.pi * (flat + total / 18.0)
+
+
+def _energy_moment(radii: tuple[float, ...], densities: tuple[float, ...]) -> float:
+    """M_2 of a table, which sets its normalization; one past float64's range is InvalidSource."""
+    norm = _moment(radii, densities, 2)
+    if not math.isfinite(norm):
+        raise InvalidSource(f"the profile's energy integral over radii up to {radii[-1]:g} "
+                            "overflows float64")
+    return norm
 
 
 def _table_integral(
@@ -261,22 +275,37 @@ def _radius_value(r: Quantity) -> float:
     return r.value
 
 
+def _kernel(name: str, src: SourceDensity, r: Quantity, value: float, dim: int) -> Quantity:
+    """A kernel's value at r as a Quantity; one past float64's range raises DomainError.
+
+    The error names the source's radius and r.  An underflow passes: the
+    kernels are only ever scaled by m and m^3, and near_field_potential names
+    m and r when any factor or product leaves the normal range.
+    """
+    if not math.isfinite(value):
+        kind = "ball" if isinstance(src, UniformBall) else "table"
+        raise DomainError(f"the {name} kernel of a {kind} of radius "
+                          f"{src.support_radius.value:g} at r = {r.value:g} overflows float64")
+    return Quantity(value, dim)
+
+
 def radial_reduce_inverse(src: SourceDensity, r: Quantity) -> Quantity:
     """Inverse-distance kernel Int eps(x') / |x - x'| d^3x' at radius r.
 
     Outside the support (r >= R) it is E_tot/r for every source (shell
     theorem).  Inside, a uniform ball gives E_tot (3R^2 - r^2) / (2R^3); a
     tabulated profile runs composite Simpson per smooth piece, and r = 0 is
-    clamped to R / DEFAULT_INTERVALS with :class:`ClampWarning`.
+    clamped to R / DEFAULT_INTERVALS with :class:`ClampWarning`.  A value
+    past float64's range raises :class:`DomainError`.
     """
     rv = _radius_value(r)
     R = src.support_radius.value
     E = src.total_energy.value
     if rv >= R:
-        return Quantity(E / rv, 2)
+        return _kernel("inverse", src, r, E / rv, 2)
     if isinstance(src, UniformBall):
         t = rv / R
-        return Quantity(E / R * (3.0 - t * t) / 2.0, 2)
+        return _kernel("inverse", src, r, E / R * (3.0 - t * t) / 2.0, 2)
     if rv == 0.0:
         rv = R / DEFAULT_INTERVALS
         warnings.warn(
@@ -288,7 +317,7 @@ def radial_reduce_inverse(src: SourceDensity, r: Quantity) -> Quantity:
     # r' <= r: (r + r') - |r - r'| = 2 r';   r' >= r: it equals 2 r.
     total = _table_integral(radii, densities, lambda x: x * ((rv + x) - (rv - x)), 0.0, rv)
     total += _table_integral(radii, densities, lambda x: x * ((rv + x) - (x - rv)), rv, R)
-    return Quantity(2.0 * math.pi / rv * total, 2)
+    return _kernel("inverse", src, r, 2.0 * math.pi / rv * total, 2)
 
 
 def radial_reduce_linear(src: SourceDensity, r: Quantity) -> Quantity:
@@ -298,28 +327,30 @@ def radial_reduce_linear(src: SourceDensity, r: Quantity) -> Quantity:
     E_tot (r^2/(2R) + 3R/4 - r^4/(20R^3)) inside.  A tabulated profile gives
     E_tot*r + M_4/(3r) outside (r >= R) and the mean-radius moment M_3 at
     r = 0, both from its exact moments M_k = 4*pi*Int r'^k eps dr', and runs
-    composite Simpson per smooth piece at other interior radii.
+    composite Simpson per smooth piece at other interior radii.  A value past
+    float64's range raises :class:`DomainError`.
     """
     rv = _radius_value(r)
     R = src.support_radius.value
     if isinstance(src, UniformBall):
         E = src.total_energy.value
         if rv >= R:
-            return Quantity(E * (rv + R * (R / rv) / 5.0), 0)
+            return _kernel("linear", src, r, E * (rv + R * (R / rv) / 5.0), 0)
         t = rv / R
-        return Quantity(E * R * (t * t / 2.0 + 0.75 - t**4 / 20.0), 0)
+        return _kernel("linear", src, r, E * R * (t * t / 2.0 + 0.75 - t**4 / 20.0), 0)
     radii, densities = src.radii, src.densities
     if rv >= R:
-        return Quantity(src.total_energy.value * rv + _moment(radii, densities, 4) / (3.0 * rv), 0)
+        value = src.total_energy.value * rv + _moment(radii, densities, 4) / (3.0 * rv)
+        return _kernel("linear", src, r, value, 0)
     if rv == 0.0:
-        return Quantity(_moment(radii, densities, 3), 0)
+        return _kernel("linear", src, r, _moment(radii, densities, 3), 0)
     total = _table_integral(
         radii, densities, lambda x: x * ((rv + x) ** 3 - (rv - x) ** 3), 0.0, rv
     )
     total += _table_integral(
         radii, densities, lambda x: x * ((rv + x) ** 3 - (x - rv) ** 3), rv, R
     )
-    return Quantity(2.0 * math.pi / (3.0 * rv) * total, 0)
+    return _kernel("linear", src, r, 2.0 * math.pi / (3.0 * rv) * total, 0)
 
 
 def near_field_potential(src: SourceDensity, m: Quantity, r: Quantity) -> Quantity:

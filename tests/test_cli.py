@@ -351,11 +351,14 @@ def test_field_json_schema(capsys):
 
 @pytest.mark.parametrize("m_quark, code", [("1e300", 1)])
 def test_field_extreme_quark_mass_ends_cleanly(capsys, m_quark, code):
-    # the ball's R**3 once raised ZeroDivisionError here
+    # the ball's R**3 once raised ZeroDivisionError here, and its E/R then
+    # ended in "value must be finite, got inf", which named no input
     got, out, err = run_cli(capsys, "field", "--m-quark", m_quark, "--points", "2",
                             "--format", "json")
     assert got == code
-    assert out == "" and err == "error: value must be finite, got inf\n"
+    assert out == ""
+    assert err == ("error: the inverse kernel of a ball of radius 1e-300 at r = 1e-301 "
+                   "overflows float64\n")
 
 
 @pytest.mark.parametrize("m_quark, r", [("1e-300", "1e+299"), ("1e-110", "1e+109"),
@@ -625,13 +628,40 @@ def test_regime_non_finite_ratio_is_computation_error(capsys, ratio):
 # --- end-to-end process checks ----------------------------------------------------------
 
 
-def test_module_invocation_byte_identical():
-    cmd = [sys.executable, "-m", "comptonqcd", "derive"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
-    assert first.stdout == second.stdout
+def _module_run(*argv, **kwargs):
+    """``python -m comptonqcd`` in a child with buffered standard streams.
+
+    An inherited PYTHONUNBUFFERED would write every line at once, and then no
+    output would wait on the flush before the process ends.
+    """
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "comptonqcd", *argv], env=env, **kwargs)
+
+
+def test_module_invocation_byte_identical(capsys):
+    # the output is smaller than stdout's buffer, so it reaches the pipe only
+    # through the flush before the process ends
+    first = _module_run("derive", capture_output=True, check=True)
+    second = _module_run("derive", capture_output=True, check=True)
+    assert first.stdout == second.stdout == run_cli(capsys, "derive")[1].encode()
     assert first.stdout.endswith(b"\n")
     assert b"\r" not in first.stdout
+
+
+class _Exited(Exception):
+    """Raised in place of os._exit, with the code and the flushed streams."""
+
+
+def _stop_exit(monkeypatch, streams=()):
+    """Make os._exit raise _Exited; the real one would end the test session.
+
+    ``streams`` are (name, buffer) pairs: each buffer's bytes are recorded at
+    the moment of the exit, so that a test sees what had been flushed.
+    """
+    def fake_exit(code):
+        raise _Exited(code, {name: buffer.getvalue() for name, buffer in streams})
+
+    monkeypatch.setattr(os, "_exit", fake_exit)
 
 
 @pytest.mark.parametrize("preset, threads", [(None, "1"), ("4", "4")])
@@ -643,11 +673,97 @@ def test_console_main_defaults_blas_to_one_thread(monkeypatch, capsys, preset, t
     else:
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
     monkeypatch.setattr(sys, "argv", ["comptonqcd", "charge"])
+    _stop_exit(monkeypatch)
+    with pytest.raises(_Exited) as exc:
+        cli.console_main()
+    assert exc.value.args[0] == 0
+    assert capsys.readouterr().out == "1\n"
+    assert os.environ["OPENBLAS_NUM_THREADS"] == threads
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["charge"], 0, b"1\n", b""),
+    (["charge", "--d", "4"], 1, b"", b"error: spatial dimension must be 1, 2, or 3, got 4\n"),
+    (["charge", "-o", "missing/charge.txt"], 2, b"",
+     b"error: cannot write output: [Errno 2] No such file or directory: 'missing/charge.txt'\n"),
+])
+def test_console_main_flushes_then_exits_with_mains_code(monkeypatch, tmp_path, argv, code,
+                                                         out, err):
+    # buffered streams over byte buffers: bytes reach a buffer only when
+    # console_main flushes, so the recorded bytes show the flush came first
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["comptonqcd", *argv])
+    buffers = {name: io.BytesIO() for name in ("stdout", "stderr")}
+    for name, buffer in buffers.items():
+        monkeypatch.setattr(sys, name, io.TextIOWrapper(io.BufferedWriter(buffer),
+                                                        encoding="utf-8"))
+    _stop_exit(monkeypatch, buffers.items())
+    with pytest.raises(_Exited) as exc:
+        cli.console_main()
+    got, flushed = exc.value.args
+    assert got == code
+    assert flushed == {"stdout": out, "stderr": err}
+
+
+def test_console_main_keeps_argparse_exits(monkeypatch, capsys):
+    # usage errors and --help leave through SystemExit, as before
+    _stop_exit(monkeypatch)
+    for argv, code in ((["charge", "--d", "x"], 2), (["--help"], 0)):
+        monkeypatch.setattr(sys, "argv", ["comptonqcd", *argv])
+        with pytest.raises(SystemExit) as exc:
+            cli.console_main()
+        assert exc.value.code == code
+    assert "usage: comptonqcd" in capsys.readouterr().out
+
+
+def test_console_main_reports_a_failed_flush_through_teardown(monkeypatch):
+    class Closed(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "argv", ["comptonqcd", "charge"])
+    monkeypatch.setattr(sys, "stdout", Closed())
+    _stop_exit(monkeypatch)
     with pytest.raises(SystemExit) as exc:
         cli.console_main()
     assert exc.value.code == 0
-    assert capsys.readouterr().out == "1\n"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == threads
+
+
+def test_module_invocation_pipes_the_whole_export(tmp_path, capsys):
+    # the 20000-row table is far larger than a pipe's buffer: the process
+    # must write all of it before it ends
+    code, out, _ = run_cli(capsys, "spectrum", "--format", "csv")
+    assert code == 0
+    done = _module_run("spectrum", "--format", "csv", capture_output=True, check=True)
+    assert len(done.stdout) > 1 << 16
+    assert done.stdout == out.encode() and done.stderr == b""
+    # and to files: the table and its sidecar, each complete
+    path = tmp_path / "wave.csv"
+    _module_run("spectrum", "--format", "csv", "-o", str(path), check=True)
+    assert main(["spectrum", "--format", "csv", "-o", str(tmp_path / "ref.csv")]) == 0
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes() == out.encode()
+    sidecar = Path(f"{path}.json").read_bytes()
+    assert sidecar == (tmp_path / "ref.csv.json").read_bytes() and sidecar.endswith(b"}\n")
+
+
+def test_module_invocation_error_exit():
+    done = _module_run("charge", "--d", "4", capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: spatial dimension must be 1, 2, or 3, got 4\n"
+
+
+def test_module_invocation_reports_a_closed_pipe():
+    # stdout's reader has gone: the flush fails, and teardown reports it as
+    # CPython always has, with exit code 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _module_run("charge", stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 120
+    assert "BrokenPipeError" in done.stderr and "error:" not in done.stderr
 
 
 _IMPORT_PROBE = """

@@ -271,6 +271,35 @@ def test_table_validation_errors():
         RadialTable.from_samples([0.5], [0.0], e)  # too short
 
 
+def test_table_moment_overflow_is_invalid_source():
+    # float ** int raises where float * float gives inf: radii near 1e100
+    # once ended in a bare OverflowError from the moment's r'**k terms
+    e = Quantity(1.0, 1)
+    message = "energy integral over radii up to 2e+200 overflows float64"
+    with pytest.raises(InvalidSource, match=re.escape(message)):
+        RadialTable.from_samples([0.0, 1e200, 2e200], [1.0, 1.0, 0.0], e)
+    # 5 * r'**2 overflows to inf on an empty piece, and inf * 0 is nan, which
+    # no tolerance comparison rejects
+    message = "energy integral over radii up to 1.1e+154 overflows float64"
+    with pytest.raises(InvalidSource, match=re.escape(message)):
+        RadialTable((0.0, 1e154, 1.1e154), (1e-300, 0.0, 0.0), Quantity(1.1e154, -1), e)
+
+
+@pytest.mark.parametrize("radii, densities, energy, r", [
+    ([0.0, 1e100, 2e100], [1.0, 1.0, 0.0], 1.0, 3e100),  # M_4 overflows outside
+    ([0.0, 1e103, 2e103], [1e-300, 1e-300, 0.0], 1e200, 0.0),  # M_3 at the origin
+])
+def test_table_kernel_overflow_is_domain_error(radii, densities, energy, r):
+    m = Quantity(1.0, 1)
+    tab = RadialTable.from_samples(radii, densities, Quantity(energy, 1))
+    message = f"the linear kernel of a table of radius {radii[-1]:g} at r = {r:g} overflows"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        radial_reduce_linear(tab, Quantity(r, -1))
+    if r > 0.0:  # the origin's inverse kernel warns of its clamp first
+        with pytest.raises(DomainError, match=re.escape(message)):
+            near_field_potential(tab, m, Quantity(r, -1))
+
+
 def test_table_origin_clamps_with_warning():
     tab = uniform_like_table()
     with pytest.warns(ClampWarning):
@@ -325,6 +354,22 @@ def test_near_field_overflow_is_domain_error(m, r):
     message = f"near field at m = {m:g}, r = {r:g} overflows"
     with pytest.raises(DomainError, match=re.escape(message)):
         near_field_potential(default_source(mass), mass, Quantity(r, -1))
+
+
+@pytest.mark.parametrize("kernel, ball, r", [
+    (radial_reduce_inverse, (1e-300, 1e300), 1e-301),  # E/R, as field --m-quark 1e300
+    (radial_reduce_inverse, (1e-300, 1e300), 1e-299),  # E/r outside
+    (radial_reduce_linear, (1e300, 1e300), 0.0),  # E*R at the centre
+    (radial_reduce_linear, (1e300, 1e300), 1e301),  # E*r outside
+])
+def test_ball_kernel_overflow_names_radius_and_r(kernel, ball, r):
+    # these once raised "value must be finite, got inf", which names no input
+    big_r, energy = ball
+    src = UniformBall(Quantity(big_r, -1), Quantity(energy, 1))
+    name = "inverse" if kernel is radial_reduce_inverse else "linear"
+    message = f"the {name} kernel of a ball of radius {big_r:g} at r = {r:g} overflows float64"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        kernel(src, Quantity(r, -1))
 
 
 def test_near_field_slope_approaches_linear_coefficient():

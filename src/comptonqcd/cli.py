@@ -35,6 +35,7 @@ Unknown keys and mistyped values are usage errors.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -79,23 +80,22 @@ class Output:
     """A handler's result, before any output form is built.
 
     ``payload`` is the JSON form.  ``rows`` is the CSV header then its data
-    rows, as raw values; it may be lazy, since only the printed form reads it.
+    rows, as raw values or, for a block of rows, as its CSV text; it may be
+    lazy, since only the printed form reads it.
     The table form aligns ``table_rows`` (default: ``rows``) under ``title``.
-    ``csv_lines``, when set, are the CSV form's lines, in place of ``rows``.
     With ``sidecar`` set, a CSV written to a file gets its JSON form beside it.
     """
 
-    __slots__ = ("payload", "rows", "table_rows", "title", "sidecar", "csv_lines")
+    __slots__ = ("payload", "rows", "table_rows", "title", "sidecar")
 
     def __init__(self, payload: dict, rows: Iterable[Sequence] = (),
                  table_rows: Iterable[Sequence] | None = None, title: str = "",
-                 sidecar: bool = False, csv_lines: Iterable[str] | None = None) -> None:
+                 sidecar: bool = False) -> None:
         self.payload = payload
         self.rows = rows
         self.table_rows = table_rows
         self.title = title
         self.sidecar = sidecar
-        self.csv_lines = csv_lines
 
 
 def fmt(x: float) -> str:
@@ -391,15 +391,14 @@ def _run_linearize(cfg: RunConfig) -> Output:
     return Output({"e2_mode": cfg.e2_mode, **values}, _record(values))
 
 
-def _wave_lines(state: spec.BoundState) -> Iterator[str]:
-    """The r,u table's CSV lines; a generator, so the JSON form never builds it.
-
-    Every cell is a float, so one format string per row applies fmt's rule at
-    the cost of the row's bytes.  The generator drops the solved state when it
-    ends, before the joined text is allocated.
-    """
+def _wave_rows(radii, u) -> Iterator:
+    """The r,u header, then the CSV text of each 4096 rows, one % each."""
     yield "r,u\n"
-    yield from map("%.10g,%.10g\n".__mod__, zip(state.radii.tolist(), state.u.tolist()))
+    for i in range(0, len(u), 4096):
+        r = radii[i:i + 4096].tolist()
+        values = r * 2
+        values[::2], values[1::2] = r, u[i:i + 4096].tolist()
+        yield "%.10g,%.10g\n" * len(r) % tuple(values)
 
 
 def _run_spectrum(cfg: RunConfig) -> Output:
@@ -410,8 +409,8 @@ def _run_spectrum(cfg: RunConfig) -> Output:
                                  opts.get("grid_points", spec.DEFAULT_GRID_POINTS))
     state = spec.solve_bound_state(problem, opts.get("n", 1))
     payload = spec.bound_state_sidecar(state, problem)
-    return Output(payload, table_rows=_record(payload), sidecar=True,
-                  csv_lines=_wave_lines(state))
+    rows = _wave_rows(*spec.wave_table(state, problem)) if cfg.output_format == "csv" else ()
+    return Output(payload, rows, table_rows=_record(payload), sidecar=True)
 
 
 def _run_confinement(cfg: RunConfig) -> Output:
@@ -438,18 +437,17 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _render(out: Output, output_format: str) -> str:
-    """Build the one requested form of a handler's result."""
+def _render(out: Output, output_format: str) -> Iterable[str]:
+    """Build the one requested form of a handler's result, as blocks of text."""
     if output_format == "json":
-        return json.dumps(out.payload, indent=2) + "\n"
+        return [json.dumps(out.payload, indent=2) + "\n"]
     if output_format == "csv":
-        if out.csv_lines is not None:
-            return "".join(out.csv_lines)
-        return "".join(",".join(map(_cell, row)) + "\n" for row in out.rows)
+        return (row if isinstance(row, str) else ",".join(map(_cell, row)) + "\n"
+                for row in out.rows)
     rows = [[_cell(value) for value in row] for row in (out.table_rows or out.rows)]
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    return out.title + "\n".join(lines) + "\n"
+    return [out.title + "\n".join(lines) + "\n"]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -463,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not cfg.output_path:
-        sys.stdout.write(_render(out, cfg.output_format))
+        sys.stdout.writelines(_render(out, cfg.output_format))
         return 0
     forms = {cfg.output_path: cfg.output_format}
     if out.sidecar and cfg.output_format == "csv":
@@ -471,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for path, output_format in forms.items():
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(_render(out, output_format))
+                fh.writelines(_render(out, output_format))
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
@@ -491,17 +489,21 @@ def console_main() -> None:
     with ``os._exit``, skipping interpreter teardown, which the work never
     needs: ``main`` has closed every output file, and freeing the loaded
     modules, numpy's above all, costs 10-25 ms of CPU.  ``atexit`` hooks
-    therefore do not run in this process.  A flush that fails raises
-    SystemExit instead, so that teardown reports the failure as it always
-    has; argparse's exits (usage errors, ``--help``) and unexpected
-    exceptions also leave through teardown.  :func:`main` itself never ends
-    the process.
+    therefore do not run in this process.  A flush that fails, or a write in
+    ``main`` that fails (code 120), raises SystemExit instead, so that
+    teardown reports the failure as it always has; argparse's exits (usage
+    errors, ``--help``) and unexpected exceptions also leave through
+    teardown.  :func:`main` itself never ends the process.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    code = main()
+    code = 120
     try:
+        code = main()
         sys.stdout.flush()
         sys.stderr.flush()
     except OSError:
+        if code == 120:  # main's write failed: buffer a byte for teardown's flush to fail on
+            with contextlib.suppress(OSError):
+                sys.stdout.write("\n")
         raise SystemExit(code)
     os._exit(code)

@@ -14,10 +14,14 @@ The same Gauss approximation gives every expectation value as a sum
 sum_j c_j^2 f(r_j) over the eigenvector c: the RMS radius here and the
 virial residual in :func:`virial_check`.  As u(r_j) has the sign of c_j, the
 node count is the number of sign changes of c_j; the solve checks that it is
-n - 1.  grid_points only sets the output table: u on grid_points equal steps
-out to the end of the mesh, normalized with composite Simpson from the origin,
-where u = 0 exactly.  The solve checks that the table holds all but 1e-6 of
-the probability.
+n - 1.  The solve also checks that [0, r_max] holds all but 1e-6 of the
+probability, exactly from the mesh: the basis functions overlap as
+delta_ij + (-1)^(i+j) / sqrt(x_i x_j), so u holds 1 + s^2 on the half-line,
+s = sum_j (-1)^j c_j / sqrt(x_j), and an (N+1)-point Gauss-Laguerre rule gives
+the part beyond r_max exactly.  grid_points only sets the output table, which
+:func:`wave_table` builds for the callers that print it: u on grid_points
+equal steps out to the end of the mesh, normalized with composite Simpson from
+the origin, where u = 0 exactly.
 Solves are deterministic and repeat bit for bit.  The BLAS thread count is
 the caller's choice: this module leaves it to numpy's defaults and the
 environment, and only the ``comptonqcd`` command sets one thread.
@@ -45,6 +49,7 @@ __all__ = [
     "BoundState",
     "cover_extent",
     "solve_bound_state",
+    "wave_table",
     "virial_check",
     "confinement_ratio",
     "confinement_report",
@@ -55,8 +60,8 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 20000
-# largest output table: its float64 arrays stay near 100 MB, and the check
-# comes before any of them is allocated
+# largest output table: wave_table's two float64 arrays stay near 16 MB, and
+# the check comes before any of them is allocated
 MAX_GRID_POINTS = 1_000_000
 # highest ell the mesh holds: hydrogen levels n = 1..10 are right to 1.4e-13
 # at ell = 100 and 1.4e-11 at ell = 120; near ell = 150 the centrifugal
@@ -67,8 +72,10 @@ MAX_ANGULAR_MOMENTUM = 100
 _DECAY_LENGTHS = 15.0
 # highest level solved; Coulomb levels stop converging near n = 60
 _MAX_LEVEL = 50
-# probability the output table may miss; also virial_check's normalization test
+# probability [0, r_max] may miss; also virial_check's normalization test
 _NORM_TOL = 1e-6
+# table rows evaluated at a time, so the evaluation's temporaries stay small
+_BLOCK_ROWS = 1 << 16
 
 
 class RadialProblem(Frozen):
@@ -93,22 +100,22 @@ class RadialProblem(Frozen):
 class BoundState(Frozen):
     """A normalized radial eigenstate: level n has n-1 interior nodes.
 
-    ``radii`` and ``u`` are the output table.  ``mesh_radii`` are the mesh
-    points r_j and ``mesh_weights`` the Gauss weights c_j^2 of the state,
+    ``coefficients`` are the mesh eigenvector c, signed so that u > 0 near the
+    origin; :func:`wave_table` evaluates u from them.  ``mesh_radii`` are the
+    mesh points r_j and ``mesh_weights`` the Gauss weights c_j^2 of the state,
     which sum to 1; expectation values are sums over them.  Two states are
     equal only when they are the same object; ``repr`` leaves out the arrays.
     """
 
-    __slots__ = ("level", "energy", "nodes", "radii", "u", "rms_radius", "mesh_radii",
+    __slots__ = ("level", "energy", "nodes", "coefficients", "rms_radius", "mesh_radii",
                  "mesh_weights")
-    _unshown = ("radii", "u", "mesh_radii", "mesh_weights")
+    _unshown = ("coefficients", "mesh_radii", "mesh_weights")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, level: int, energy: Quantity, nodes: int, radii: np.ndarray,
-                 u: np.ndarray, rms_radius: Quantity, mesh_radii: np.ndarray,
-                 mesh_weights: np.ndarray) -> None:
-        self._fill(level, energy, nodes, radii, u, rms_radius, mesh_radii, mesh_weights)
+    def __init__(self, level: int, energy: Quantity, nodes: int, coefficients: np.ndarray,
+                 rms_radius: Quantity, mesh_radii: np.ndarray, mesh_weights: np.ndarray) -> None:
+        self._fill(level, energy, nodes, coefficients, rms_radius, mesh_radii, mesh_weights)
 
 
 def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> float:
@@ -149,6 +156,12 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
     return cover
 
 
+def _cover(p: RadialProblem, n: int) -> float:
+    """The mesh cover, r_max, of level n of a problem."""
+    return cover_extent(p.potential.alpha.value, p.potential.sigma.value,
+                        p.reduced_mass.value, n, p.angular_momentum)
+
+
 def _check_scale(name: str, value: float, alpha: float, sigma: float, mu: float) -> None:
     if not is_normal(value):
         raise DomainError(f"{name} = {value:g} is not a normal float64 "
@@ -160,12 +173,16 @@ def _mesh_size(n: int) -> int:
     return 50 + 4 * n
 
 
-def _laguerre_mesh(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zeros x_j of L_size and V_kj = sqrt(w_j) p_k(x_j), p_k = (-1)^k L_k orthonormal.
+def _laguerre_mesh(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zeros x_j of L_size, V_kj = sqrt(w_j) p_k(x_j) and sqrt(w_j) e^(x_j/2).
 
-    The zeros are the eigenvalues of the Jacobi matrix (diagonal 2i+1,
-    off-diagonal i).  As 1/w_j = sum_k p_k(x_j)^2, V is p_k(x_j) scaled to unit
-    columns; the common factor e^(-x_j/2) cancels there and keeps high degrees finite.
+    p_k = (-1)^k L_k are the orthonormal Laguerre polynomials and w_j the
+    Gauss-Laguerre weights.  The zeros are the eigenvalues of the Jacobi
+    matrix (diagonal 2i+1, off-diagonal i), and V holds its eigenvectors
+    (Golub-Welsch).  As 1/w_j = sum_k p_k(x_j)^2, V is p_k(x_j) scaled to unit
+    columns.  Each column carries the factor e^(-x_j/2), which cancels in V
+    and keeps high degrees finite; the scale is then sqrt(w_j) e^(x_j/2),
+    finite where w_j underflows and e^(x_j) overflows.
     """
     import numpy as np
 
@@ -177,7 +194,8 @@ def _laguerre_mesh(size: int) -> tuple[np.ndarray, np.ndarray]:
     p[1] = (x - 1.0) * p[0]
     for k in range(1, size - 1):
         p[k + 1] = ((x - (2 * k + 1)) * p[k] - k * p[k - 1]) / (k + 1)
-    return x, p / np.linalg.norm(p, axis=0)
+    norm = np.linalg.norm(p, axis=0)
+    return x, p / norm, 1.0 / norm
 
 
 def _kinetic_matrix(x: np.ndarray) -> np.ndarray:
@@ -200,17 +218,15 @@ def _effective_potential(p: RadialProblem, r: np.ndarray) -> np.ndarray:
     return -p.potential.alpha.value / r + p.potential.sigma.value * r + centrifugal
 
 
-def _wavefunction(c: np.ndarray, x: np.ndarray, basis: np.ndarray, h: float,
-                 r: np.ndarray) -> np.ndarray:
-    """u(r) = sum_j c_j f_j(r/h) / sqrt(h), f_j(t) = (t/x_j) e^(-t/2) sum_k p_k(t) V_kj.
+def _wavefunction(c: np.ndarray, x: np.ndarray, basis: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sqrt(h) u(h t) = sum_j c_j f_j(t), f_j(t) = (t/x_j) e^(-t/2) sum_k p_k(t) V_kj.
 
-    So u = t e^(-t/2) sum_k b_k p_k(t) / sqrt(h) with b = V (c/x), summed by
-    Clenshaw's recurrence on a few table-sized arrays; e^(-t/2) enters at every
-    step, so no term overflows at large t.
+    So sqrt(h) u = t e^(-t/2) sum_k b_k p_k(t) with b = V (c/x), summed by
+    Clenshaw's recurrence on a few arrays the size of t; e^(-t/2) enters at
+    every step, so no term overflows at large t.
     """
     import numpy as np
 
-    t = r / h
     b = basis @ (c / x)
     decay = np.exp(-0.5 * t)
     y1 = np.zeros_like(t)
@@ -218,23 +234,42 @@ def _wavefunction(c: np.ndarray, x: np.ndarray, basis: np.ndarray, h: float,
     # p_(k+1) = ((t - 2k - 1) p_k - k p_(k-1)) / (k + 1)
     for k in range(len(b) - 1, -1, -1):
         y1, y2 = b[k] * decay + (t - (2 * k + 1)) / (k + 1) * y1 - (k + 1) / (k + 2) * y2, y1
-    return t * y1 / math.sqrt(h)
+    return t * y1
+
+
+def _coverage(c: np.ndarray, x: np.ndarray, basis: np.ndarray) -> float:
+    """The probability on [0, h x_N] of the state with mesh coefficients c, exactly.
+
+    On the half-line it is 1 + s^2, s = sum_j (-1)^j c_j / sqrt(x_j), from the
+    overlap delta_ij + (-1)^(i+j) / sqrt(x_i x_j) of the basis functions.
+    Beyond h x_N, with t = x_N + s, sqrt(h) u = t e^(-t/2) q(t), deg q = N - 1,
+    so e^s (sqrt(h) u)^2 is a polynomial of degree 2N in s, and the
+    (N+1)-point Gauss-Laguerre rule s_k, w_k integrates it exactly:
+    sum_k (sqrt(w_k) e^(s_k/2) sqrt(h) u)^2.  No factor depends on h.
+    """
+    import numpy as np
+
+    a = c / np.sqrt(x)
+    s = float(a[::2].sum() - a[1::2].sum())
+    nodes, _, scale = _laguerre_mesh(len(x) + 1)
+    tail = scale * _wavefunction(c, x, basis, x[-1] + nodes)
+    return 1.0 + s * s - float((tail * tail).sum())
 
 
 def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
     """The n-th bound state (n = 1 is the ground state, n-1 interior nodes).
 
     Raises :class:`NoBoundState` when both potential terms vanish,
-    :class:`DomainError` when the mesh Hamiltonian, or the output table with
-    the RMS radius, overflows float64, and :class:`GridTooSmall` when the mesh
-    eigenvector shows a node count other than n - 1 or the output table misses
-    more than 1e-6 of the probability.
+    :class:`DomainError` when the mesh Hamiltonian overflows float64 or the
+    RMS radius leaves its normal range, and :class:`GridTooSmall` when the
+    mesh eigenvector shows a node count other than n - 1 or [0, r_max] misses
+    more than 1e-6 of the probability.  No array here has grid_points rows.
     """
     import numpy as np
 
     alpha, sigma, mu = p.potential.alpha.value, p.potential.sigma.value, p.reduced_mass.value
-    extent = cover_extent(alpha, sigma, mu, n, p.angular_momentum)
-    x, basis = _laguerre_mesh(_mesh_size(n))
+    extent = _cover(p, n)
+    x, basis, _ = _laguerre_mesh(_mesh_size(n))
     h = extent / x[-1]
     # extreme inputs overflow float64; each stage is checked below instead
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -256,30 +291,53 @@ def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
         mesh_radii = h * x
         weights = c * c
         rms = math.sqrt(float((weights * mesh_radii * mesh_radii).sum()))
-
-        # the table's rows start one step out; the origin, where u = 0
-        # exactly, enters only the normalization
-        r = np.linspace(0.0, extent, p.grid_points + 1)
-        u = _wavefunction(c, x, basis, h, r)
-        norm = composite_simpson(u * u, float(r[1]))
-        if not (math.isfinite(norm) and math.isfinite(rms)):
-            raise DomainError(f"level {n}: the output table overflows float64 "
-                              f"(r_max = {extent:g})")
-        if not is_normal(rms):
-            raise DomainError(f"level {n}: the RMS radius underflows float64 "
-                              f"(r_max = {extent:g})")
-        if abs(1.0 - norm) > _NORM_TOL:
-            raise GridTooSmall(f"level {n}: [0, {extent:g}] holds {norm:.9g} of the probability")
+    if not is_normal(rms):
+        bound = "underflows" if math.isfinite(rms) else "overflows"
+        raise DomainError(f"level {n}: the RMS radius {bound} float64 (r_max = {extent:g})")
+    held = _coverage(c, x, basis)
+    if abs(1.0 - held) > _NORM_TOL:
+        raise GridTooSmall(f"level {n}: [0, {extent:g}] holds {held:.9g} of the probability")
     return BoundState(
         level=n,
         energy=Quantity(float(energies[n - 1]), 1),
         nodes=nodes,
-        radii=r[1:],
-        u=u[1:] / math.sqrt(norm),
+        coefficients=c,
         rms_radius=Quantity(rms, -1),
         mesh_radii=mesh_radii,
         mesh_weights=weights,
     )
+
+
+def wave_table(state: BoundState, p: RadialProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The output table of a solved state: radii and u, p.grid_points rows each.
+
+    The rows are equal steps from r_max / grid_points out to r_max, the
+    level's cover.  u is normalized with composite Simpson over the rows and
+    the origin, where u = 0 exactly; the origin is not returned.  The two
+    arrays are the only table-sized memory: u is evaluated a block of rows at
+    a time, and u^2 for the norm takes the radii's memory before they are
+    rebuilt.  Raises :class:`DomainError` when the norm leaves float64.
+    """
+    import numpy as np
+
+    extent = _cover(p, state.level)
+    x, basis, _ = _laguerre_mesh(len(state.coefficients))
+    h = extent / x[-1]
+    r = np.linspace(0.0, extent, p.grid_points + 1)
+    u = np.empty_like(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(r), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            u[rows] = _wavefunction(state.coefficients, x, basis, r[rows] / h)
+        u /= math.sqrt(h)
+        step = float(r[1])
+        norm = composite_simpson(np.multiply(u, u, out=r), step)
+        del r
+    if not math.isfinite(norm):
+        raise DomainError(f"level {state.level}: the output table overflows float64 "
+                          f"(r_max = {extent:g})")
+    u /= math.sqrt(norm)
+    return np.linspace(0.0, extent, len(u))[1:], u[1:]
 
 
 def virial_check(state: BoundState, p: RadialProblem) -> float:
@@ -350,5 +408,5 @@ def bound_state_sidecar(state: BoundState, p: RadialProblem) -> dict:
         "sigma": p.potential.sigma.value,
         "mu": p.reduced_mass.value,
         "ell": p.angular_momentum,
-        "r_max": float(state.radii[-1]),
+        "r_max": _cover(p, state.level),
     }

@@ -247,7 +247,9 @@ def _table_integral(
 
     Composite Simpson runs inside each smooth piece (each table segment, split
     at lo and hi), about DEFAULT_INTERVALS panels over the whole span, so the
-    piecewise-linear profile never straddles a quadrature panel.
+    piecewise-linear profile never straddles a quadrature panel.  Past
+    float64's range the total is inf or nan, with no numpy warning: the
+    caller's :func:`_kernel` names the overflow.
     """
     import numpy as np
 
@@ -255,12 +257,13 @@ def _table_integral(
         return 0.0
     edges = [lo] + [p for p in radii if lo < p < hi] + [hi]
     total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        n = max(4, int(round(DEFAULT_INTERVALS * (b - a) / (hi - lo))))
-        n += n % 2
-        x = np.linspace(a, b, n + 1)
-        eps = np.interp(x, radii, densities, left=densities[0], right=0.0)
-        total += composite_simpson(weight(x) * eps, (b - a) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in zip(edges, edges[1:]):
+            n = max(4, int(round(DEFAULT_INTERVALS * (b - a) / (hi - lo))))
+            n += n % 2
+            x = np.linspace(a, b, n + 1)
+            eps = np.interp(x, radii, densities, left=densities[0], right=0.0)
+            total += composite_simpson(weight(x) * eps, (b - a) / n)
     return total
 
 
@@ -276,16 +279,16 @@ def _radius_value(r: Quantity) -> float:
 
 
 def _kernel(name: str, src: SourceDensity, r: Quantity, value: float, dim: int) -> Quantity:
-    """A kernel's value at r as a Quantity; one past float64's range raises DomainError.
+    """A kernel's value at r as a Quantity; one outside float64's normal range is a DomainError.
 
-    The error names the source's radius and r.  An underflow passes: the
-    kernels are only ever scaled by m and m^3, and near_field_potential names
-    m and r when any factor or product leaves the normal range.
+    Every kernel is positive, so an inf or nan has overflowed and a zero or
+    subnormal has underflowed; the error names the source's radius and r.
     """
-    if not math.isfinite(value):
+    if not is_normal(value):
         kind = "ball" if isinstance(src, UniformBall) else "table"
+        bound = "underflows" if math.isfinite(value) else "overflows"
         raise DomainError(f"the {name} kernel of a {kind} of radius "
-                          f"{src.support_radius.value:g} at r = {r.value:g} overflows float64")
+                          f"{src.support_radius.value:g} at r = {r.value:g} {bound} float64")
     return Quantity(value, dim)
 
 

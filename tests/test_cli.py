@@ -364,11 +364,16 @@ def test_field_extreme_quark_mass_ends_cleanly(capsys, m_quark, code):
 @pytest.mark.parametrize("m_quark, r", [("1e-300", "1e+299"), ("1e-110", "1e+109"),
                                         ("1e-105", "1e+104")])
 def test_field_near_field_underflow_is_computation_error(capsys, m_quark, r):
-    # these once printed near = 0 on every row, or a subnormal 7.49e-315
+    # these once printed near = 0 on every row, or a subnormal 7.49e-315; at
+    # m = 1e-300 the ball's inverse kernel E/R = 1e-600 underflows, and the
+    # kernel names that first
     code, out, err = run_cli(capsys, "field", "--m-quark", m_quark, "--points", "2")
     assert code == 1
     assert out == ""
-    assert err == f"error: the near field at m = {m_quark}, r = {r} underflows float64\n"
+    where = f"the near field at m = {m_quark}, r = {r}"
+    if m_quark == "1e-300":
+        where = "the inverse kernel of a ball of radius 1e+300 at r = 1e+299"
+    assert err == f"error: {where} underflows float64\n"
 
 
 # each once exited 0 with a subnormal or zero in its output or an unchecked d,
@@ -565,9 +570,10 @@ def test_spectrum_decay_scale_underflow_is_computation_error(capsys, argv, scale
 
 
 @pytest.mark.parametrize("flag, value, stage", [("--alpha", "1e300", "mesh Hamiltonian"),
-                                                ("--mu", "1e-300", "output table")])
+                                                ("--mu", "1e-300", "RMS radius")])
 def test_spectrum_float_overflow_is_named(capsys, flag, value, stage):
-    # this once printed numpy's RuntimeWarning, then "value must be finite, got nan"
+    # this once printed numpy's RuntimeWarning, then "value must be finite, got nan";
+    # with no table to build, --mu 1e-300 is caught at the RMS radius
     code, out, err = run_cli(capsys, "spectrum", flag, value, "--grid-points", "1000")
     assert code == 1
     assert out == ""
@@ -628,14 +634,14 @@ def test_regime_non_finite_ratio_is_computation_error(capsys, ratio):
 # --- end-to-end process checks ----------------------------------------------------------
 
 
-def _module_run(*argv, **kwargs):
+def _module_run(*argv, run=subprocess.run, **kwargs):
     """``python -m comptonqcd`` in a child with buffered standard streams.
 
     An inherited PYTHONUNBUFFERED would write every line at once, and then no
     output would wait on the flush before the process ends.
     """
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    return subprocess.run([sys.executable, "-m", "comptonqcd", *argv], env=env, **kwargs)
+    return run([sys.executable, "-m", "comptonqcd", *argv], env=env, **kwargs)
 
 
 def test_module_invocation_byte_identical(capsys):
@@ -764,6 +770,20 @@ def test_module_invocation_reports_a_closed_pipe():
         os.close(write_end)
     assert done.returncode == 120
     assert "BrokenPipeError" in done.stderr and "error:" not in done.stderr
+
+
+def test_module_invocation_reports_a_pipe_closed_mid_table():
+    # the reader goes after the header; the 449 KB table is far larger than the
+    # pipe's buffer, so a later block's write fails, and the process ends as a
+    # failed flush does: CPython's report, exit code 120 and no traceback
+    proc = _module_run("spectrum", "--format", "csv", run=subprocess.Popen,
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"r,u\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 120
+    assert "BrokenPipeError" in err and "Traceback" not in err and "error:" not in err
 
 
 _IMPORT_PROBE = """

@@ -246,10 +246,10 @@ def test_value_types_behave_as_frozen_dataclasses(cls, fields):
 
 
 def test_bound_state_is_frozen_with_identity_equality():
-    fields = {"level": 1, "energy": Quantity(-0.5, 1), "nodes": 0, "radii": np.zeros(3),
-              "u": np.ones(3), "rms_radius": Quantity(1.7, -1), "mesh_radii": np.ones(2),
-              "mesh_weights": np.full(2, 0.5)}
-    hidden = {"radii", "u", "mesh_radii", "mesh_weights"}
+    fields = {"level": 1, "energy": Quantity(-0.5, 1), "nodes": 0,
+              "coefficients": np.full(2, 0.5**0.5), "rms_radius": Quantity(1.7, -1),
+              "mesh_radii": np.ones(2), "mesh_weights": np.full(2, 0.5)}
+    hidden = {"coefficients", "mesh_radii", "mesh_weights"}
     reference = dataclasses.make_dataclass(
         "BoundState", [(name, object, dataclasses.field(repr=name not in hidden))
                        for name in fields], frozen=True, eq=False)

@@ -5,9 +5,14 @@ The Airy oracle below evaluates Ai(x) from its Maclaurin series and root-finds
 the first zero by bisection; it never touches the mesh solver it checks.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import time
+import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -17,8 +22,10 @@ from hypothesis import assume, given, settings, strategies as st
 from comptonqcd import spectrum
 from comptonqcd.cli import main
 from comptonqcd.errors import DomainError, GridTooSmall, NoBoundState
+from comptonqcd.estimator import quark_mass_estimate
 from comptonqcd.natunits import E2_PRECISE, Quantity
-from comptonqcd.potential import CornellPotential
+from comptonqcd.potential import CornellPotential, cornell_from_quark_mass
+from comptonqcd.quadrature import composite_simpson
 from comptonqcd.spectrum import (
     BoundState,
     RadialProblem,
@@ -30,6 +37,7 @@ from comptonqcd.spectrum import (
     MAX_GRID_POINTS,
     solve_bound_state,
     virial_check,
+    wave_table,
 )
 
 # --- independent Airy oracle --------------------------------------------------
@@ -137,10 +145,10 @@ def test_wavefunction_normalized_and_pinned(hydrogen_ground):
     prob, state = hydrogen_ground
     from comptonqcd.quadrature import composite_simpson
 
-    r = state.radii
+    r, u = wave_table(state, prob)
     h = r[1] - r[0]
-    assert abs(composite_simpson(state.u**2, h) - 1.0) <= 1e-8
-    error = np.abs(state.u - 2.0 * r * np.exp(-r))
+    assert abs(composite_simpson(u**2, h) - 1.0) <= 1e-8
+    error = np.abs(u - 2.0 * r * np.exp(-r))
     assert np.max(error[r <= 5.0]) <= 1e-8
     assert np.max(error) <= 3e-7
 
@@ -277,7 +285,7 @@ def test_too_small_mesh_is_caught_by_the_node_count(monkeypatch):
         CornellPotential(Quantity(1.28, 0), Quantity(1.51, 2)), Quantity(1.63, 1), 2, 4001
     )
     state = solve_bound_state(prob, 5)
-    assert state.nodes == 4 and state.radii[-1] == extent
+    assert state.nodes == 4 and wave_table(state, prob)[0][-1] == extent
     monkeypatch.setattr(spectrum, "_mesh_size", lambda level: 20)
     with pytest.raises(GridTooSmall, match=r"level 5: the mesh shows 7 node\(s\), not 4"):
         solve_bound_state(prob, 5)
@@ -383,8 +391,7 @@ def test_virial_rejects_unnormalized_state(hydrogen_ground):
         level=state.level,
         energy=state.energy,
         nodes=state.nodes,
-        radii=state.radii,
-        u=state.u,
+        coefficients=state.coefficients,
         rms_radius=state.rms_radius,
         mesh_radii=state.mesh_radii,
         mesh_weights=2.0 * state.mesh_weights,
@@ -443,10 +450,123 @@ def test_table_rows_end_at_the_cover():
         prob = RadialProblem(pot, Quantity(mu, 1), ell, 2000)
         state = solve_bound_state(prob, n)
         r_max = bound_state_sidecar(state, prob)["r_max"]
-        assert r_max == state.radii[-1] == cover_extent(*args)
-        assert len(state.radii) == len(state.u) == 2000
-        assert state.radii[0] == r_max / 2000
-        assert np.allclose(np.diff(state.radii), r_max / 2000, rtol=1e-9, atol=0.0)
+        radii, u = wave_table(state, prob)
+        assert r_max == radii[-1] == cover_extent(*args)
+        assert len(radii) == len(u) == 2000
+        assert radii[0] == r_max / 2000
+        assert np.allclose(np.diff(radii), r_max / 2000, rtol=1e-9, atol=0.0)
+
+
+# --- exact coverage, and solves that build no table -----------------------------
+
+
+def _simpson_norm(state, prob):
+    """The held probability as the solve once took it: Simpson over the table and the origin."""
+    x, basis, _ = spectrum._laguerre_mesh(len(state.coefficients))
+    r_max = bound_state_sidecar(state, prob)["r_max"]
+    h = r_max / x[-1]
+    r = np.linspace(0.0, r_max, prob.grid_points + 1)
+    u = spectrum._wavefunction(state.coefficients, x, basis, r / h) / math.sqrt(h)
+    return composite_simpson(u * u, float(r[1]))
+
+
+_CHAIN_MASS = quark_mass_estimate().mass
+
+
+# the Simpson sum's error falls as rows^-4; these row counts take it below 1e-12
+@pytest.mark.parametrize("pot, mu, ell, n, rows", [
+    (COULOMB, 1.0, 0, 1, 100_000),
+    (COULOMB, 1.0, 3, 10, 20_000),
+    (COULOMB, 1.0, 0, 20, 200_000),
+    (COULOMB, 1.0, 0, 50, 400_000),
+    (CornellPotential(Quantity(1.0, 0), Quantity(0.5, 2)), 1.0, 0, 2, 100_000),
+    (CORNELL, 1.0, 0, 50, 100_000),
+    (LINEAR, 1.0, 5, 50, 20_000),
+    (cornell_from_quark_mass(_CHAIN_MASS), _CHAIN_MASS.value / 2.0, 0, 1, 100_000),
+])
+def test_exact_coverage_matches_the_simpson_norm(pot, mu, ell, n, rows):
+    # up to n = 50 the tail rule's weights and u stay finite: no numpy warning
+    prob = RadialProblem(pot, Quantity(mu, 1), ell, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = solve_bound_state(prob, n)
+        x, basis, _ = spectrum._laguerre_mesh(len(state.coefficients))
+        held = spectrum._coverage(state.coefficients, x, basis)
+    assert abs(held - _simpson_norm(state, prob)) <= 1e-12
+
+
+def test_json_solve_memory_does_not_grow_with_grid_points(capsys):
+    argv = ["spectrum", "--grid-points", str(MAX_GRID_POINTS), "--format", "json"]
+    assert main(argv) == 0  # loads numpy's lazily imported parts
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["grid_points"] == MAX_GRID_POINTS
+    assert peak < 1 << 20
+
+
+class _Digest(io.TextIOBase):
+    """A sink that keeps only the byte count and the sha256 of what it is written."""
+
+    def __init__(self):
+        self.chars = 0
+        self.sha = hashlib.sha256()
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.chars += len(text)
+        self.sha.update(text.encode())
+        return len(text)
+
+
+def test_csv_export_memory_is_its_two_arrays():
+    # 10^6 rows of text are 23.9 MB; written a block at a time, the export
+    # holds its two float64 arrays and a few MB more.  Its bytes are those of
+    # the table when it was joined into one string before it was written
+    argv = ["spectrum", "--grid-points", str(MAX_GRID_POINTS), "--format", "csv"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv[:2] + ["1000", "--format", "csv"]) == 0
+    sink = _Digest()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == 23_917_961
+    assert sink.sha.hexdigest() == ("2ed5004c7db03ebda9b93ad3fec5a34c"
+                                    "64c2e0997160553b41f02ca30d6b8633")
+    assert peak <= 2 * 8 * MAX_GRID_POINTS + (6 << 20)
+
+
+def test_only_the_csv_form_evaluates_table_rows(monkeypatch):
+    # the other forms evaluate u only at the (N+1)-point tail rule's nodes
+    points = []
+    evaluate = spectrum._wavefunction
+
+    def counted(c, x, basis, t):
+        points.append(len(t))
+        return evaluate(c, x, basis, t)
+
+    monkeypatch.setattr(spectrum, "_wavefunction", counted)
+    tail = spectrum._mesh_size(1) + 1
+    for argv in (["spectrum", "--format", "json"], ["spectrum", "--format", "table"],
+                 ["confinement"], ["confinement", "--format", "csv"]):
+        points.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert points == [tail], argv
+    points.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["spectrum", "--format", "csv"]) == 0
+    assert points == [tail, spectrum.DEFAULT_GRID_POINTS + 1]
 
 
 # --- confinement chain --------------------------------------------------------------
@@ -494,7 +614,7 @@ def test_bound_state_export_round_trip(tmp_path, linear_ground):
     assert lines[0] == "r,u"
     assert len(lines) == prob.grid_points + 1
     table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    assert np.allclose(table, np.column_stack([state.radii, state.u]), rtol=1e-9, atol=0.0)
+    assert np.allclose(table, np.column_stack(wave_table(state, prob)), rtol=1e-9, atol=0.0)
     sidecar = json.loads((tmp_path / "state.csv.json").read_text(encoding="utf-8"))
     assert sidecar == bound_state_sidecar(state, prob)
     assert sidecar["n"] == 1 and sidecar["nodes"] == 0

@@ -12,6 +12,7 @@ and stay independent of the quadrature path they check.
 
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -349,9 +350,12 @@ def test_near_field_point_value():
 @pytest.mark.parametrize("m, r", [(1e110, 1e190), (1e100, 1e10), (1.0, 1e308)])
 def test_near_field_overflow_is_domain_error(m, r):
     # m**3 alone overflows at m = 1e110, which once raised a bare OverflowError;
-    # the linear term overflows in the other two
+    # the linear term overflows in the other two, but at r = 1e308 the inverse
+    # kernel E/r = 1e-308 is subnormal, and the kernel names that first
     mass = Quantity(m, 1)
     message = f"near field at m = {m:g}, r = {r:g} overflows"
+    if r == 1e308:
+        message = "the inverse kernel of a ball of radius 1 at r = 1e+308 underflows float64"
     with pytest.raises(DomainError, match=re.escape(message)):
         near_field_potential(default_source(mass), mass, Quantity(r, -1))
 
@@ -370,6 +374,26 @@ def test_ball_kernel_overflow_names_radius_and_r(kernel, ball, r):
     message = f"the {name} kernel of a ball of radius {big_r:g} at r = {r:g} overflows float64"
     with pytest.raises(DomainError, match=re.escape(message)):
         kernel(src, Quantity(r, -1))
+
+
+def test_interior_table_kernel_overflow_raises_no_numpy_warning():
+    # the Simpson sums once let numpy's "overflow encountered in power" escape
+    # under -W error in place of the DomainError
+    tab = RadialTable.from_samples([0.0, 1e103, 2e103], [1e-300, 1e-300, 0.0], Quantity(1e200, 1))
+    message = "the linear kernel of a table of radius 2e+103 at r = 1e+103 overflows float64"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=re.escape(message)):
+            radial_reduce_linear(tab, Quantity(1e103, -1))
+
+
+def test_kernel_underflow_is_domain_error():
+    # E/R (3 - t^2)/2, about 1.5e-600 inside this ball, once came back to a
+    # library caller as Quantity(0.0, 2)
+    ball = UniformBall(Quantity(1e300, -1), Quantity(1e-300, 1))
+    message = "the inverse kernel of a ball of radius 1e+300 at r = 1e+299 underflows float64"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        radial_reduce_inverse(ball, Quantity(1e299, -1))
 
 
 def test_near_field_slope_approaches_linear_coefficient():

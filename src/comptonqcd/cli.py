@@ -367,10 +367,10 @@ def _run_linearize(cfg: RunConfig) -> Output:
         second_ax = (axial(step) - 2.0 * e0 + axial(-step)) / step**2 / l_value**2
         second_tr = (transverse(step) - 2.0 * e0 + transverse(-step)) / step**2 / l_value**2
         pair_slope = abs(pair_energy(step) - pair_energy(-step)) / (2.0 * step) / l_value
-        declared = pot.confinement_slope(sep, e_squared=e2)
-        ratio = pair_slope / declared.value
-    except ArithmeticError as exc:
+    except (ArithmeticError, DomainError) as exc:  # an energy outside float64 raises DomainError
         raise DomainError(outside) from exc
+    declared = pot.confinement_slope(sep, e_squared=e2)
+    ratio = pair_slope / declared.value
     # float arithmetic past the float64 range raises, returns inf or, for a
     # value that is non-zero in exact arithmetic, a subnormal or zero; the
     # first derivative alone is zero by symmetry, and confinement_slope checks
@@ -408,8 +408,8 @@ def _run_spectrum(cfg: RunConfig) -> Output:
     problem = spec.RadialProblem(cornell, Quantity(opts.get("mu", 1.0), 1), opts.get("ell", 0),
                                  opts.get("grid_points", spec.DEFAULT_GRID_POINTS))
     state = spec.solve_bound_state(problem, opts.get("n", 1))
-    payload = spec.bound_state_sidecar(state, problem)
-    rows = _wave_rows(*spec.wave_table(state, problem)) if cfg.output_format == "csv" else ()
+    payload = spec.bound_state_sidecar(state)
+    rows = _wave_rows(*spec.wave_table(state)) if cfg.output_format == "csv" else ()
     return Output(payload, rows, table_rows=_record(payload), sidecar=True)
 
 

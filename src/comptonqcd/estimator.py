@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DomainError
-from .natunits import Frozen, Quantity, resolve_e_squared
+from .natunits import Frozen, Quantity, normal_float, resolve_e_squared
 from .potential import charge_fraction
 
 __all__ = [
@@ -40,7 +40,8 @@ class MassEstimate(Frozen):
     """A mass in units of m_e, reproducible from its defining fields.
 
     mass = fermions / (slope_coefficient * e_squared); ``fermions`` counts
-    the constituents (1 unless stated otherwise).
+    the constituents (1 unless stated otherwise).  ``mass`` raises
+    :class:`DomainError` when the mass is not a normal float64.
     """
 
     __slots__ = ("slope_coefficient", "e_squared", "fermions")
@@ -61,7 +62,9 @@ class MassEstimate(Frozen):
 
     @property
     def mass(self) -> Quantity:
-        return Quantity(float(self.mass_fraction), 1)
+        return Quantity(normal_float(self.mass_fraction, "the mass n/(k e^2) at n = {}, k = {}, "
+                                     "e^2 = {}", self.fermions, self.slope_coefficient,
+                                     self.e_squared), 1)
 
 
 def effective_mass_from_slope(
@@ -71,6 +74,8 @@ def effective_mass_from_slope(
     fermions: int = 1,
 ) -> MassEstimate:
     """Mass m_e / (k * e^2) implied by a linear slope coefficient k."""
+    if isinstance(k, float) and not math.isfinite(k):
+        raise DomainError(f"slope coefficient must be finite, got {k}")
     coeff = k if isinstance(k, Fraction) else Fraction(k)
     return MassEstimate(coeff, resolve_e_squared(e_squared), fermions)
 
@@ -151,7 +156,8 @@ def derivation_report(*, e_squared: Fraction | float | None = None) -> dict:
 
     Returns {"steps": [...]} where each step carries the step index, a
     human-readable quantity, the exact value string, a float view (null for
-    flags), the units, and a short tag naming the relation used.
+    flags), the units, and a short tag naming the relation used.  A mass
+    whose float view is not a normal float64 raises :class:`DomainError`.
     """
     e2 = resolve_e_squared(e_squared)
     quark = quark_mass_estimate(e_squared=e2)
@@ -163,7 +169,7 @@ def derivation_report(*, e_squared: Fraction | float | None = None) -> dict:
         _step(2, "charge fraction (d=1)", charge_fraction(1), "e", "trace-fraction"),
         _step(3, "charge fraction (d=2)", charge_fraction(2), "e", "trace-fraction"),
         _step(4, "confinement slope coefficient k", QUARK_SLOPE_COEFFICIENT, "e^2/l^2", "three-quark-line"),
-        _step(5, "quark mass", quark.mass_fraction, "m_e", "slope-match"),
+        _step(5, "quark mass", quark, "m_e", "slope-match"),
         {
             "step": 6,
             "quantity": "quark mass order of magnitude (10^3 m_e)",
@@ -172,18 +178,24 @@ def derivation_report(*, e_squared: Fraction | float | None = None) -> dict:
             "units": "",
             "paper_eq": "order-estimate",
         },
-        _step(7, "single-fermion mass", pion_single.mass_fraction, "m_e", "compton-edge"),
-        _step(8, "pion mass (two fermions)", pion.mass_fraction, "m_e", "compton-edge"),
+        _step(7, "single-fermion mass", pion_single, "m_e", "compton-edge"),
+        _step(8, "pion mass (two fermions)", pion, "m_e", "compton-edge"),
     ]
     return {"steps": steps}
 
 
-def _step(idx: int, quantity: str, value: Fraction, units: str, tag: str) -> dict:
+def _step(idx: int, quantity: str, value: Fraction | MassEstimate, units: str,
+          tag: str) -> dict:
+    """One report step; a mass's float view is the checked ``MassEstimate.mass``."""
+    if isinstance(value, MassEstimate):
+        value, value_float = value.mass_fraction, value.mass.value
+    else:
+        value_float = float(value)
     return {
         "step": idx,
         "quantity": quantity,
         "value": format_exact(value),
-        "value_float": float(value),
+        "value_float": value_float,
         "units": units,
         "paper_eq": tag,
     }

@@ -26,6 +26,7 @@ __all__ = [
     "compton_wavelength",
     "resolve_e_squared",
     "is_normal",
+    "normal_float",
     "E2_PAPER",
     "E2_PRECISE",
 ]
@@ -156,12 +157,16 @@ def _operand(x: Quantity | float | int) -> tuple[float, int]:
 
 
 def compton_wavelength(m: Quantity) -> Quantity:
-    """Return 1/m: the Compton wavelength of a mass in natural units."""
+    """Return 1/m: the Compton wavelength of a mass in natural units.
+
+    One that is not a normal float64 raises :class:`DomainError`.
+    """
     if m.dim != 1:
         raise DimensionError(f"mass must have dim 1, got dim {m.dim}")
     if m.value <= 0.0:
         raise InvalidMass(f"mass must be positive, got {m.value}")
-    return Quantity(1.0 / m.value, -1)
+    return Quantity(normal_float(1.0 / m.value, "the Compton wavelength 1/m at m = {}", m.value),
+                    -1)
 
 
 def resolve_e_squared(e_squared: Fraction | float | int | None) -> Fraction:
@@ -169,7 +174,8 @@ def resolve_e_squared(e_squared: Fraction | float | int | None) -> Fraction:
 
     None selects the default 1/137.  Floats convert exactly (every finite
     float is a dyadic rational), so an explicit float override stays
-    reproducible; nan and infinities raise :class:`DomainError`.
+    reproducible; nan, infinities and an e^2 whose float64 is not normal
+    raise :class:`DomainError`.
     """
     if e_squared is None:
         return E2_PAPER
@@ -178,6 +184,7 @@ def resolve_e_squared(e_squared: Fraction | float | int | None) -> Fraction:
     frac = e_squared if isinstance(e_squared, Fraction) else Fraction(e_squared)
     if frac <= 0:
         raise DomainError(f"e^2 must be positive, got {e_squared}")
+    normal_float(frac, "e^2 = {}", frac)
     return frac
 
 
@@ -192,3 +199,38 @@ def is_normal(*values: float) -> bool:
         if not sys.float_info.min <= abs(value) < math.inf:
             return False
     return True
+
+
+def normal_float(value: Fraction | float, what: str, *inputs) -> float:
+    """``float(value)``, which must be a normal float64 unless value is exactly zero.
+
+    Otherwise :class:`DomainError` says that ``what`` overflows or underflows
+    float64, with each ``{}`` in it filled by one of ``inputs``, numbers to 6
+    significant digits.  A rational too large for a float overflows: ``float``
+    raises OverflowError for it where float arithmetic gives inf.
+    """
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if value == 0 or is_normal(result):
+        return result
+    bound = "underflows" if math.isfinite(result) else "overflows"
+    raise DomainError(f"{what.format(*map(_g, inputs))} {bound} float64")
+
+
+def _g(x) -> str:
+    """A number as ``%.6g`` prints a float; a rational may lie past float64's range."""
+    if isinstance(x, (int, str)):
+        return str(x)
+    if isinstance(x, Fraction):
+        try:
+            value = float(x)
+        except OverflowError:
+            value = math.inf
+        if x != 0 and not is_normal(value):
+            from decimal import Context
+
+            return f"{Context(prec=6).divide(x.numerator, x.denominator).normalize():g}"
+        x = value
+    return f"{x:.6g}"

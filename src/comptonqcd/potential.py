@@ -32,7 +32,7 @@ from .errors import (
     InvalidMass,
     SingularConfiguration,
 )
-from .natunits import Frozen, Quantity, is_normal, resolve_e_squared
+from .natunits import Frozen, Quantity, is_normal, normal_float, resolve_e_squared
 
 __all__ = [
     "CornellPotential",
@@ -107,7 +107,7 @@ def charge_fraction(d: int) -> Fraction:
 class QuarkConfiguration(Frozen):
     """Point charges (exact rationals, units of e) on a line with spacing l.
 
-    Positions are dimensionless multiples of the separation scale l.
+    Positions are finite, dimensionless multiples of the separation scale l.
     """
 
     __slots__ = ("charges", "positions", "separation")
@@ -118,6 +118,8 @@ class QuarkConfiguration(Frozen):
             raise DomainError("need at least two charges with matching positions")
         if separation.dim != -1 or separation.value <= 0.0:
             raise DomainError("separation must be a positive length (dim -1)")
+        if not all(map(math.isfinite, positions)):
+            raise DomainError(f"positions must be finite, got {positions}")
         if len(set(positions)) != len(positions):
             raise SingularConfiguration("positions must be pairwise distinct")
         self._fill(charges, positions, separation)
@@ -162,8 +164,14 @@ def configuration_energy_fraction(
 def configuration_energy(
     cfg: QuarkConfiguration, *, e_squared: Fraction | float | None = None
 ) -> Quantity:
-    """Pairwise Coulomb energy of the configuration as a Quantity (dim 1)."""
-    return Quantity(float(configuration_energy_fraction(cfg, e_squared=e_squared)), 1)
+    """Pairwise Coulomb energy of the configuration as a Quantity (dim 1).
+
+    A non-zero energy that is not a normal float64 raises :class:`DomainError`.
+    """
+    e2 = resolve_e_squared(e_squared)
+    return Quantity(normal_float(configuration_energy_fraction(cfg, e_squared=e2),
+                                 "the configuration energy at l = {}, e^2 = {}",
+                                 cfg.separation.value, e2), 1)
 
 
 def _central_index(cfg: QuarkConfiguration) -> int:
@@ -186,29 +194,35 @@ def central_displacement_energy(
     rational arithmetic); ``axis='transverse'`` lifts it perpendicular to the
     line (distances pick up square roots, so this path is float).  The
     displacement must keep the central charge strictly between its neighbours,
-    |displacement| < 1.
+    |displacement| < 1.  A non-zero energy that is not a normal float64
+    raises :class:`DomainError`.
     """
     if axis not in ("axial", "transverse"):
         raise DomainError(f"axis must be 'axial' or 'transverse', got {axis!r}")
-    if abs(displacement) >= 1.0:
+    if not abs(displacement) < 1.0:
         raise SingularConfiguration(
             "displacement must satisfy |d| < 1 to keep the central charge inside"
         )
     e2 = resolve_e_squared(e_squared)
     c = _central_index(cfg)
+    what = "the {} displacement energy at l = {}, d = {}, e^2 = {}"
+    inputs = (axis, cfg.separation.value, displacement, e2)
     if axis == "axial":
         positions = [Fraction(x) for x in cfg.positions]
         positions[c] += Fraction(displacement)
-        return Quantity(float(_exact_energy(cfg, positions, e2)), 1)
+        return Quantity(normal_float(_exact_energy(cfg, positions, e2), what, *inputs), 1)
     total_f = 0.0
-    for i in range(len(cfg.positions)):
-        for j in range(i + 1, len(cfg.positions)):
-            dx = cfg.positions[i] - cfg.positions[j]
-            dy = displacement if i == c else 0.0
-            dy -= displacement if j == c else 0.0
-            dist_f = math.hypot(dx, dy)
-            total_f += float(cfg.charges[i] * cfg.charges[j]) / dist_f
-    return Quantity(total_f * float(e2) / cfg.separation.value, 1)
+    try:
+        for i in range(len(cfg.positions)):
+            for j in range(i + 1, len(cfg.positions)):
+                dx = cfg.positions[i] - cfg.positions[j]
+                dy = displacement if i == c else 0.0
+                dy -= displacement if j == c else 0.0
+                dist_f = math.hypot(dx, dy)
+                total_f += float(cfg.charges[i] * cfg.charges[j]) / dist_f
+    except OverflowError:  # a charge product too large for a float
+        total_f = math.inf
+    return Quantity(normal_float(total_f * float(e2) / cfg.separation.value, what, *inputs), 1)
 
 
 def confinement_slope(

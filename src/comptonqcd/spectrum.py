@@ -18,10 +18,10 @@ n - 1.  The solve also checks that [0, r_max] holds all but 1e-6 of the
 probability, exactly from the mesh: the basis functions overlap as
 delta_ij + (-1)^(i+j) / sqrt(x_i x_j), so u holds 1 + s^2 on the half-line,
 s = sum_j (-1)^j c_j / sqrt(x_j), and an (N+1)-point Gauss-Laguerre rule gives
-the part beyond r_max exactly.  grid_points only sets the output table, which
-:func:`wave_table` builds for the callers that print it: u on grid_points
-equal steps out to the end of the mesh, normalized with composite Simpson from
-the origin, where u = 0 exactly.
+the part beyond r_max exactly.  A :class:`BoundState` holds its problem and
+r_max.  grid_points only sets the output table, which :func:`wave_table`
+builds for the callers that print it: u on grid_points equal steps out to
+r_max, normalized with composite Simpson from the origin, where u = 0 exactly.
 Solves are deterministic and repeat bit for bit.  The BLAS thread count is
 the caller's choice: this module leaves it to numpy's defaults and the
 environment, and only the ``comptonqcd`` command sets one thread.
@@ -98,24 +98,26 @@ class RadialProblem(Frozen):
 
 
 class BoundState(Frozen):
-    """A normalized radial eigenstate: level n has n-1 interior nodes.
+    """A normalized radial eigenstate of ``problem``: level n has n-1 interior nodes.
 
     ``coefficients`` are the mesh eigenvector c, signed so that u > 0 near the
-    origin; :func:`wave_table` evaluates u from them.  ``mesh_radii`` are the
-    mesh points r_j and ``mesh_weights`` the Gauss weights c_j^2 of the state,
-    which sum to 1; expectation values are sums over them.  Two states are
-    equal only when they are the same object; ``repr`` leaves out the arrays.
+    origin and with sum c_j^2 = 1; :func:`wave_table` evaluates u from them.
+    ``mesh_radii`` are the mesh points r_j, and expectation values are sums of
+    c_j^2 f(r_j).  ``r_max`` is the level's cover, where the mesh ends.  Two
+    states are equal only when they are the same object; ``repr`` leaves out
+    the arrays.
     """
 
     __slots__ = ("level", "energy", "nodes", "coefficients", "rms_radius", "mesh_radii",
-                 "mesh_weights")
-    _unshown = ("coefficients", "mesh_radii", "mesh_weights")
+                 "problem", "r_max")
+    _unshown = ("coefficients", "mesh_radii")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     def __init__(self, level: int, energy: Quantity, nodes: int, coefficients: np.ndarray,
-                 rms_radius: Quantity, mesh_radii: np.ndarray, mesh_weights: np.ndarray) -> None:
-        self._fill(level, energy, nodes, coefficients, rms_radius, mesh_radii, mesh_weights)
+                 rms_radius: Quantity, mesh_radii: np.ndarray, problem: RadialProblem,
+                 r_max: float) -> None:
+        self._fill(level, energy, nodes, coefficients, rms_radius, mesh_radii, problem, r_max)
 
 
 def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> float:
@@ -154,12 +156,6 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
     cover = min(covers)
     _check_scale("the mesh cover", cover, alpha, sigma, mu)
     return cover
-
-
-def _cover(p: RadialProblem, n: int) -> float:
-    """The mesh cover, r_max, of level n of a problem."""
-    return cover_extent(p.potential.alpha.value, p.potential.sigma.value,
-                        p.reduced_mass.value, n, p.angular_momentum)
 
 
 def _check_scale(name: str, value: float, alpha: float, sigma: float, mu: float) -> None:
@@ -268,7 +264,7 @@ def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
     import numpy as np
 
     alpha, sigma, mu = p.potential.alpha.value, p.potential.sigma.value, p.reduced_mass.value
-    extent = _cover(p, n)
+    extent = cover_extent(alpha, sigma, mu, n, p.angular_momentum)
     x, basis, _ = _laguerre_mesh(_mesh_size(n))
     h = extent / x[-1]
     # extreme inputs overflow float64; each stage is checked below instead
@@ -289,8 +285,7 @@ def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
         if nodes != n - 1:
             raise GridTooSmall(f"level {n}: the mesh shows {nodes} node(s), not {n - 1}")
         mesh_radii = h * x
-        weights = c * c
-        rms = math.sqrt(float((weights * mesh_radii * mesh_radii).sum()))
+        rms = math.sqrt(float((c * c * mesh_radii * mesh_radii).sum()))
     if not is_normal(rms):
         bound = "underflows" if math.isfinite(rms) else "overflows"
         raise DomainError(f"level {n}: the RMS radius {bound} float64 (r_max = {extent:g})")
@@ -304,12 +299,13 @@ def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
         coefficients=c,
         rms_radius=Quantity(rms, -1),
         mesh_radii=mesh_radii,
-        mesh_weights=weights,
+        problem=p,
+        r_max=extent,
     )
 
 
-def wave_table(state: BoundState, p: RadialProblem) -> tuple[np.ndarray, np.ndarray]:
-    """The output table of a solved state: radii and u, p.grid_points rows each.
+def wave_table(state: BoundState) -> tuple[np.ndarray, np.ndarray]:
+    """The output table of a solved state: radii and u, grid_points rows each.
 
     The rows are equal steps from r_max / grid_points out to r_max, the
     level's cover.  u is normalized with composite Simpson over the rows and
@@ -320,10 +316,10 @@ def wave_table(state: BoundState, p: RadialProblem) -> tuple[np.ndarray, np.ndar
     """
     import numpy as np
 
-    extent = _cover(p, state.level)
+    extent = state.r_max
     x, basis, _ = _laguerre_mesh(len(state.coefficients))
     h = extent / x[-1]
-    r = np.linspace(0.0, extent, p.grid_points + 1)
+    r = np.linspace(0.0, extent, state.problem.grid_points + 1)
     u = np.empty_like(r)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(r), _BLOCK_ROWS):
@@ -340,22 +336,22 @@ def wave_table(state: BoundState, p: RadialProblem) -> tuple[np.ndarray, np.ndar
     return np.linspace(0.0, extent, len(u))[1:], u[1:]
 
 
-def virial_check(state: BoundState, p: RadialProblem) -> float:
+def virial_check(state: BoundState) -> float:
     """Residual |2<T> - <r dV/dr>| / <r dV/dr> for a solved state.
 
     For the Cornell form r dV/dr = alpha/r + sigma*r, and <T> = E - <V>.
     With alpha, sigma >= 0, not both zero, <r dV/dr> is positive, so the
     residual stays meaningful where E passes through zero.  The expectation
-    values are Gauss sums over the state's mesh weights, which must sum to 1;
-    other weights are rejected.
+    values are Gauss sums over the mesh weights c_j^2, which must sum to 1;
+    other coefficients are rejected.
     """
     r = state.mesh_radii
-    weights = state.mesh_weights
+    weights = state.coefficients ** 2
     norm = float(weights.sum())
     if abs(norm - 1.0) > _NORM_TOL:
         raise DomainError(f"state is not normalized (sum of mesh weights = {norm:.6g})")
-    alpha = p.potential.alpha.value
-    sigma = p.potential.sigma.value
+    alpha = state.problem.potential.alpha.value
+    sigma = state.problem.potential.sigma.value
     mean_v = float((weights * (-alpha / r + sigma * r)).sum())
     mean_rdv = float((weights * (alpha / r + sigma * r)).sum())
     energy = state.energy.value
@@ -396,8 +392,9 @@ def confinement_ratio(*, e_squared: Fraction | float | None = None) -> float:
     return confinement_report(e_squared=e_squared)["ratio"]
 
 
-def bound_state_sidecar(state: BoundState, p: RadialProblem) -> dict:
+def bound_state_sidecar(state: BoundState) -> dict:
     """The solved state and its problem, keyed and ordered as the CLI prints them."""
+    p = state.problem
     return {
         "n": state.level,
         "E": state.energy.value,
@@ -408,5 +405,5 @@ def bound_state_sidecar(state: BoundState, p: RadialProblem) -> dict:
         "sigma": p.potential.sigma.value,
         "mu": p.reduced_mass.value,
         "ell": p.angular_momentum,
-        "r_max": _cover(p, state.level),
+        "r_max": state.r_max,
     }

@@ -377,7 +377,8 @@ def near_field_potential(src: SourceDensity, m: Quantity, r: Quantity) -> Quanti
     inverse_term = 4.0 * (m.value * inv)
     linear_term = 2.0 * (cube * lin)
     total = inverse_term + linear_term
-    terms = (inv, lin, cube, inverse_term, linear_term, total)
+    # the kernels are normal already: _kernel raises on any other value
+    terms = (cube, inverse_term, linear_term, total)
     if not is_normal(*terms):
         bound = "overflows" if math.inf in terms else "underflows"
         raise DomainError(f"the near field at m = {m.value:g}, r = {r.value:g} "

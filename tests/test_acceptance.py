@@ -158,7 +158,7 @@ def test_criterion_07_eigensolver_oracles(capsys):
         if abs(state.energy.value - exact) > 1e-6 * abs(exact):
             failures.append(f"hydrogen n={n}")
         if n == 1:
-            if virial_check(state, prob) > 1e-4:
+            if virial_check(state) > 1e-4:
                 failures.append("virial hydrogen")
     linear = CornellPotential(Quantity(0.0, 0), Quantity(1.0, 2))
     prob_l = RadialProblem(linear, Quantity(0.5, 1), 0, 8001)
@@ -166,7 +166,7 @@ def test_criterion_07_eigensolver_oracles(capsys):
     airy = 2.338107 * (1.0 / (2.0 * 0.5)) ** (1.0 / 3.0)
     if abs(state_l.energy.value - 2.3381074104597670) > 1e-6 * airy:
         failures.append("linear ground state")
-    if virial_check(state_l, prob_l) > 1e-4:
+    if virial_check(state_l) > 1e-4:
         failures.append("virial linear")
     cornell = CornellPotential(Quantity(1.0, 0), Quantity(1.0, 2))
     prob_c = RadialProblem(cornell, Quantity(1.0, 1), 0, 4001)

@@ -391,6 +391,8 @@ _BAD_VALUE_CASES = {
                              "to 9.99989e-321 underflows float64"),
     "field-d-unchecked": ("field --d 0 --r-stop 0.5 --points 2",
                           "spatial dimension must be 1, 2, or 3, got 0"),
+    "field-compton-overflow": ("field --m-quark 1e-320 --points 2",
+                               "the Compton wavelength 1/m at m = 9.99989e-321 overflows float64"),
     "potential-coulomb-subnormal": (
         "potential --alpha 1e-300 --r-start 1e10 --r-stop 1e11 --points 2",
         "V at alpha = 1e-300, sigma = 0, r = 1e+10 underflows float64"),

@@ -246,17 +246,20 @@ def test_value_types_behave_as_frozen_dataclasses(cls, fields):
 
 
 def test_bound_state_is_frozen_with_identity_equality():
+    problem = RadialProblem(CornellPotential(Quantity(1.0, 0), Quantity(0.0, 2)),
+                            Quantity(1.0, 1), 0, 1000)
     fields = {"level": 1, "energy": Quantity(-0.5, 1), "nodes": 0,
               "coefficients": np.full(2, 0.5**0.5), "rms_radius": Quantity(1.7, -1),
-              "mesh_radii": np.ones(2), "mesh_weights": np.full(2, 0.5)}
-    hidden = {"coefficients", "mesh_radii", "mesh_weights"}
+              "mesh_radii": np.ones(2), "problem": problem, "r_max": 17.0}
+    hidden = {"coefficients", "mesh_radii"}
     reference = dataclasses.make_dataclass(
         "BoundState", [(name, object, dataclasses.field(repr=name not in hidden))
                        for name in fields], frozen=True, eq=False)
     state = BoundState(**fields)
     assert repr(state) == repr(reference(**fields))
     assert repr(state) == ("BoundState(level=1, energy=Quantity(value=-0.5, dim=1), nodes=0, "
-                           "rms_radius=Quantity(value=1.7, dim=-1))")
+                           "rms_radius=Quantity(value=1.7, dim=-1), problem=" + repr(problem)
+                           + ", r_max=17.0)")
     assert state == state and state != BoundState(**fields)
     assert hash(state) == object.__hash__(state)
     with pytest.raises(AttributeError, match="cannot assign to field 'nodes'"):

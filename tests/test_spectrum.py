@@ -102,14 +102,12 @@ def linear_problem(sigma=1.0, mu=0.5, n_pts=8001):
 
 @pytest.fixture(scope="module")
 def hydrogen_ground():
-    prob = hydrogen_problem()
-    return prob, solve_bound_state(prob, 1)
+    return solve_bound_state(hydrogen_problem(), 1)
 
 
 @pytest.fixture(scope="module")
 def linear_ground():
-    prob = linear_problem()
-    return prob, solve_bound_state(prob, 1)
+    return solve_bound_state(linear_problem(), 1)
 
 
 # --- solve_bound_state oracles -------------------------------------------------
@@ -125,7 +123,7 @@ def test_hydrogen_levels_match_closed_form():
 
 
 def test_linear_ground_state_matches_airy_oracle(linear_ground):
-    _, state = linear_ground
+    state = linear_ground
     expected = AIRY_GROUND * (1.0 ** 2 / (2.0 * 0.5)) ** (1.0 / 3.0)
     assert abs(state.energy.value - expected) <= 1e-6 * expected
     assert state.nodes == 0
@@ -142,10 +140,7 @@ def test_hydrogen_with_angular_momentum():
 def test_wavefunction_normalized_and_pinned(hydrogen_ground):
     # u follows 2r e^(-r) from one step out to the mesh's last point at 17,
     # where u is below 2e-6; the rows leave out only [0, h], where u^2 < 4h^2
-    prob, state = hydrogen_ground
-    from comptonqcd.quadrature import composite_simpson
-
-    r, u = wave_table(state, prob)
+    r, u = wave_table(hydrogen_ground)
     h = r[1] - r[0]
     assert abs(composite_simpson(u**2, h) - 1.0) <= 1e-8
     error = np.abs(u - 2.0 * r * np.exp(-r))
@@ -285,7 +280,7 @@ def test_too_small_mesh_is_caught_by_the_node_count(monkeypatch):
         CornellPotential(Quantity(1.28, 0), Quantity(1.51, 2)), Quantity(1.63, 1), 2, 4001
     )
     state = solve_bound_state(prob, 5)
-    assert state.nodes == 4 and wave_table(state, prob)[0][-1] == extent
+    assert state.nodes == 4 and wave_table(state)[0][-1] == extent
     monkeypatch.setattr(spectrum, "_mesh_size", lambda level: 20)
     with pytest.raises(GridTooSmall, match=r"level 5: the mesh shows 7 node\(s\), not 4"):
         solve_bound_state(prob, 5)
@@ -330,7 +325,7 @@ def test_random_cornell_levels(alpha, sigma, mu, ell):
         energy = state.energy.value
         lower, upper = energy_bounds(alpha, sigma, mu, n, ell)
         assert lower - 1e-9 * abs(lower) <= energy <= upper + 1e-9 * abs(upper)
-        assert virial_check(state, prob) <= 1e-4
+        assert virial_check(state) <= 1e-4
         energies.append(energy)
     assert all(b > a for a, b in zip(energies, energies[1:]))
 
@@ -352,8 +347,7 @@ def test_hydrogen_levels_on_default_tables(ell):
 
 
 def test_hydrogen_rms_radius(hydrogen_ground):
-    _, state = hydrogen_ground
-    assert abs(state.rms_radius.value - math.sqrt(3.0)) <= 1e-5 * math.sqrt(3.0)
+    assert abs(hydrogen_ground.rms_radius.value - math.sqrt(3.0)) <= 1e-5 * math.sqrt(3.0)
 
 
 def test_rms_halves_when_mass_doubles():
@@ -369,10 +363,8 @@ def test_rms_scales_with_cube_root_of_tension():
 
 
 def test_virial_residuals(hydrogen_ground, linear_ground):
-    prob_h, state_h = hydrogen_ground
-    prob_l, state_l = linear_ground
-    assert virial_check(state_h, prob_h) <= 1e-4
-    assert virial_check(state_l, prob_l) <= 1e-4
+    assert virial_check(hydrogen_ground) <= 1e-4
+    assert virial_check(linear_ground) <= 1e-4
 
 
 def test_virial_residual_is_finite_where_the_energy_vanishes():
@@ -382,22 +374,23 @@ def test_virial_residual_is_finite_where_the_energy_vanishes():
     prob = RadialProblem(pot, Quantity(1.0, 1), 0, 4001)
     state = solve_bound_state(prob, 1)
     assert abs(state.energy.value) <= 1e-12
-    assert virial_check(state, prob) <= 1e-4
+    assert virial_check(state) <= 1e-4
 
 
 def test_virial_rejects_unnormalized_state(hydrogen_ground):
-    prob, state = hydrogen_ground
+    state = hydrogen_ground
     bad = BoundState(
         level=state.level,
         energy=state.energy,
         nodes=state.nodes,
-        coefficients=state.coefficients,
+        coefficients=2.0 * state.coefficients,
         rms_radius=state.rms_radius,
         mesh_radii=state.mesh_radii,
-        mesh_weights=2.0 * state.mesh_weights,
+        problem=state.problem,
+        r_max=state.r_max,
     )
-    with pytest.raises(DomainError):
-        virial_check(bad, prob)
+    with pytest.raises(DomainError, match=r"^state is not normalized \(sum of mesh weights = 4\)"):
+        virial_check(bad)
 
 
 # --- problem validation -----------------------------------------------------------
@@ -449,23 +442,47 @@ def test_table_rows_end_at_the_cover():
         pot = CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2))
         prob = RadialProblem(pot, Quantity(mu, 1), ell, 2000)
         state = solve_bound_state(prob, n)
-        r_max = bound_state_sidecar(state, prob)["r_max"]
-        radii, u = wave_table(state, prob)
-        assert r_max == radii[-1] == cover_extent(*args)
+        r_max = bound_state_sidecar(state)["r_max"]
+        radii, u = wave_table(state)
+        assert state.r_max == r_max == radii[-1] == cover_extent(*args)
         assert len(radii) == len(u) == 2000
         assert radii[0] == r_max / 2000
         assert np.allclose(np.diff(radii), r_max / 2000, rtol=1e-9, atol=0.0)
 
 
+def test_a_csv_request_computes_the_cover_once(monkeypatch):
+    # the state carries its cover, so the table and the sidecar reuse it
+    calls = []
+    cover = spectrum.cover_extent
+
+    def counted(*args):
+        calls.append(args)
+        return cover(*args)
+
+    monkeypatch.setattr(spectrum, "cover_extent", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["spectrum", "--grid-points", "1000", "--format", "csv"]) == 0
+    assert calls == [(1.0, 0.0, 1.0, 1, 0)]
+
+
+def test_a_state_holds_the_problem_it_solves():
+    prob = RadialProblem(CORNELL, Quantity(0.7, 1), 2, 1000)
+    state = solve_bound_state(prob, 3)
+    assert state.problem is prob
+    sidecar = bound_state_sidecar(state)
+    assert (sidecar["alpha"], sidecar["sigma"], sidecar["mu"], sidecar["ell"],
+            sidecar["grid_points"]) == (1.0, 1.0, 0.7, 2, 1000)
+    assert len(wave_table(state)[0]) == 1000
+
+
 # --- exact coverage, and solves that build no table -----------------------------
 
 
-def _simpson_norm(state, prob):
+def _simpson_norm(state):
     """The held probability as the solve once took it: Simpson over the table and the origin."""
     x, basis, _ = spectrum._laguerre_mesh(len(state.coefficients))
-    r_max = bound_state_sidecar(state, prob)["r_max"]
-    h = r_max / x[-1]
-    r = np.linspace(0.0, r_max, prob.grid_points + 1)
+    h = state.r_max / x[-1]
+    r = np.linspace(0.0, state.r_max, state.problem.grid_points + 1)
     u = spectrum._wavefunction(state.coefficients, x, basis, r / h) / math.sqrt(h)
     return composite_simpson(u * u, float(r[1]))
 
@@ -492,7 +509,7 @@ def test_exact_coverage_matches_the_simpson_norm(pot, mu, ell, n, rows):
         state = solve_bound_state(prob, n)
         x, basis, _ = spectrum._laguerre_mesh(len(state.coefficients))
         held = spectrum._coverage(state.coefficients, x, basis)
-    assert abs(held - _simpson_norm(state, prob)) <= 1e-12
+    assert abs(held - _simpson_norm(state)) <= 1e-12
 
 
 def test_json_solve_memory_does_not_grow_with_grid_points(capsys):
@@ -606,17 +623,17 @@ def test_confinement_report_fields():
 
 def test_bound_state_export_round_trip(tmp_path, linear_ground):
     # the CLI export of the same problem holds the table and the library's sidecar
-    prob, state = linear_ground
+    state = linear_ground
     path = tmp_path / "state.csv"
     assert main(["spectrum", "--alpha", "0", "--sigma", "1", "--mu", "0.5", "--n", "1",
                  "--grid-points", "8001", "--format", "csv", "-o", str(path)]) == 0
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "r,u"
-    assert len(lines) == prob.grid_points + 1
+    assert len(lines) == state.problem.grid_points + 1
     table = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
-    assert np.allclose(table, np.column_stack(wave_table(state, prob)), rtol=1e-9, atol=0.0)
+    assert np.allclose(table, np.column_stack(wave_table(state)), rtol=1e-9, atol=0.0)
     sidecar = json.loads((tmp_path / "state.csv.json").read_text(encoding="utf-8"))
-    assert sidecar == bound_state_sidecar(state, prob)
+    assert sidecar == bound_state_sidecar(state)
     assert sidecar["n"] == 1 and sidecar["nodes"] == 0
     assert list(sidecar) == [
         "n", "E", "nodes", "rms_radius", "grid_points",

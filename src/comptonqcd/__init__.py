@@ -48,7 +48,7 @@ _EXPORTS = {
     "spectrum": (
         "BoundState", "RadialProblem", "bound_state_sidecar", "confinement_ratio",
         "confinement_report", "cover_extent", "solve_bound_state", "virial_check",
-        "wave_table",
+        "wave_blocks", "wave_table",
     ),
     "cli": (),
 }

@@ -55,6 +55,8 @@ FORMAT_CHOICES = ("csv", "json", "table")
 ENV_E2 = "COMPTONQCD_E2"
 # most rows of a potential or field table, checked before any is computed
 MAX_POINTS = 100_000
+# spectrum CSV rows formatted by one % operation
+_CSV_ROWS = 1024
 
 # parser destinations that are not settings
 _NOT_CONFIG = {"help", "config_path"}
@@ -391,14 +393,15 @@ def _run_linearize(cfg: RunConfig) -> Output:
     return Output({"e2_mode": cfg.e2_mode, **values}, _record(values))
 
 
-def _wave_rows(radii, u) -> Iterator:
-    """The r,u header, then the CSV text of each 4096 rows, one % each."""
+def _wave_rows(blocks: Iterable) -> Iterator:
+    """The r,u header, then the CSV text of each block's rows, one % per 1024 rows."""
     yield "r,u\n"
-    for i in range(0, len(u), 4096):
-        r = radii[i:i + 4096].tolist()
-        values = r * 2
-        values[::2], values[1::2] = r, u[i:i + 4096].tolist()
-        yield "%.10g,%.10g\n" * len(r) % tuple(values)
+    for radii, u in blocks:
+        for i in range(0, len(u), _CSV_ROWS):
+            r = radii[i:i + _CSV_ROWS].tolist()
+            values = r * 2
+            values[::2], values[1::2] = r, u[i:i + _CSV_ROWS].tolist()
+            yield "%.10g,%.10g\n" * len(r) % tuple(values)
 
 
 def _run_spectrum(cfg: RunConfig) -> Output:
@@ -409,7 +412,9 @@ def _run_spectrum(cfg: RunConfig) -> Output:
                                  opts.get("grid_points", spec.DEFAULT_GRID_POINTS))
     state = spec.solve_bound_state(problem, opts.get("n", 1))
     payload = spec.bound_state_sidecar(state)
-    rows = _wave_rows(*spec.wave_table(state)) if cfg.output_format == "csv" else ()
+    # the table's norm is taken here, so that its error ends the run before any
+    # output; its rows are evaluated again as they are written
+    rows = _wave_rows(spec.wave_blocks(state)) if cfg.output_format == "csv" else ()
     return Output(payload, rows, table_rows=_record(payload), sidecar=True)
 
 

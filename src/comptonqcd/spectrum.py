@@ -19,9 +19,13 @@ probability, exactly from the mesh: the basis functions overlap as
 delta_ij + (-1)^(i+j) / sqrt(x_i x_j), so u holds 1 + s^2 on the half-line,
 s = sum_j (-1)^j c_j / sqrt(x_j), and an (N+1)-point Gauss-Laguerre rule gives
 the part beyond r_max exactly.  A :class:`BoundState` holds its problem and
-r_max.  grid_points only sets the output table, which :func:`wave_table`
+r_max.  grid_points only sets the output table, which :func:`wave_blocks`
 builds for the callers that print it: u on grid_points equal steps out to
 r_max, normalized with composite Simpson from the origin, where u = 0 exactly.
+It evaluates the table twice, a block of at most 4096 rows at a time: once
+for the norm, as a sum of the blocks' Simpson sums, and once to yield the
+normalized rows.  So no array of grid_points rows is ever held, and
+:func:`wave_table` joins the same blocks for callers that want two arrays.
 Solves are deterministic and repeat bit for bit.  The BLAS thread count is
 the caller's choice: this module leaves it to numpy's defaults and the
 environment, and only the ``comptonqcd`` command sets one thread.
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, GridTooSmall, NoBoundState
 from .estimator import quark_mass_estimate
@@ -49,6 +53,7 @@ __all__ = [
     "BoundState",
     "cover_extent",
     "solve_bound_state",
+    "wave_blocks",
     "wave_table",
     "virial_check",
     "confinement_ratio",
@@ -60,8 +65,9 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 20000
-# largest output table: wave_table's two float64 arrays stay near 16 MB, and
-# the check comes before any of them is allocated
+# largest output table: wave_blocks holds one block of it at a time, so only
+# wave_table's two joined arrays (16 MB here, twice that while it joins them)
+# grow with it; the check comes before any row is evaluated
 MAX_GRID_POINTS = 1_000_000
 # highest ell the mesh holds: hydrogen levels n = 1..10 are right to 1.4e-13
 # at ell = 100 and 1.4e-11 at ell = 120; near ell = 150 the centrifugal
@@ -74,8 +80,8 @@ _DECAY_LENGTHS = 15.0
 _MAX_LEVEL = 50
 # probability [0, r_max] may miss; also virial_check's normalization test
 _NORM_TOL = 1e-6
-# table rows evaluated at a time, so the evaluation's temporaries stay small
-_BLOCK_ROWS = 1 << 16
+# most table rows evaluated, normalized and yielded at a time
+_BLOCK_ROWS = 4096
 
 
 class RadialProblem(Frozen):
@@ -101,7 +107,7 @@ class BoundState(Frozen):
     """A normalized radial eigenstate of ``problem``: level n has n-1 interior nodes.
 
     ``coefficients`` are the mesh eigenvector c, signed so that u > 0 near the
-    origin and with sum c_j^2 = 1; :func:`wave_table` evaluates u from them.
+    origin and with sum c_j^2 = 1; :func:`wave_blocks` evaluates u from them.
     ``mesh_radii`` are the mesh points r_j, and expectation values are sums of
     c_j^2 f(r_j).  ``r_max`` is the level's cover, where the mesh ends.  Two
     states are equal only when they are the same object; ``repr`` leaves out
@@ -132,7 +138,9 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
     the tail u ~ r^k e^(-r mu alpha/k) falls more slowly for high k, so the
     cover adds 15 + (k - 1)/2 of them.  Either term
     added to the other only deepens the well, so with both present the
-    smaller of the two covers is taken.  The cover and each decay scale,
+    smaller of the two covers is taken.  alpha and sigma must be
+    non-negative numbers, as :class:`CornellPotential` requires, or
+    :class:`DomainError` names them.  The cover and each decay scale,
     mu*alpha and 2*mu*sigma, must be normal float64 values; inputs that
     overflow or underflow one of them raise :class:`DomainError`.
     """
@@ -142,6 +150,9 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
         raise DomainError("angular momentum must be non-negative")
     if not mu > 0.0:
         raise DomainError("reduced mass must be positive")
+    if not (alpha >= 0.0 and sigma >= 0.0):
+        raise DomainError(f"alpha and sigma must be non-negative "
+                          f"(alpha = {alpha:g}, sigma = {sigma:g}, mu = {mu:g})")
     covers = []
     if sigma > 0.0:
         _check_scale("2*mu*sigma", 2.0 * mu * sigma, alpha, sigma, mu)
@@ -304,36 +315,79 @@ def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
     )
 
 
-def wave_table(state: BoundState) -> tuple[np.ndarray, np.ndarray]:
-    """The output table of a solved state: radii and u, grid_points rows each.
+def _blocks(rows: int) -> list[tuple[int, int]]:
+    """(b_k, b_(k+1)) for each block of the table: rows b_k + 1 .. b_(k+1).
 
-    The rows are equal steps from r_max / grid_points out to r_max, the
-    level's cover.  u is normalized with composite Simpson over the rows and
-    the origin, where u = 0 exactly; the origin is not returned.  The two
-    arrays are the only table-sized memory: u is evaluated a block of rows at
-    a time, and u^2 for the norm takes the radii's memory before they are
-    rebuilt.  Raises :class:`DomainError` when the norm leaves float64.
+    A block holds at most _BLOCK_ROWS rows, and its Simpson sum spans
+    [b_k, b_(k+1)], from the last row of the block before (the origin for
+    the first).  Every b_k but the last is even, so the blocks' sums add up
+    to the whole-table composite Simpson rule.  The last block carries the
+    odd remainder, with at least the three intervals of the rule's 3/8 tail.
+    """
+    bounds = list(range(0, rows, _BLOCK_ROWS)) + [rows]
+    if bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 2
+    return list(zip(bounds, bounds[1:]))
+
+
+def wave_blocks(state: BoundState) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The output table of a solved state, as (radii, u) blocks of at most 4096 rows.
+
+    Row i = 1..grid_points lies at r = i * step, step = r_max / grid_points,
+    and the last row exactly at r_max, the level's cover.  u is normalized
+    with composite Simpson over the rows and the origin, where u = 0 exactly;
+    the origin is not returned.  The norm is taken before this returns, in a
+    first pass over the blocks, and raises :class:`DomainError` when it
+    leaves float64.  The iterator returned evaluates each block again and
+    yields it normalized, so no array of grid_points rows is held.
     """
     import numpy as np
 
     extent = state.r_max
+    rows = state.problem.grid_points
     x, basis, _ = _laguerre_mesh(len(state.coefficients))
     h = extent / x[-1]
-    r = np.linspace(0.0, extent, state.problem.grid_points + 1)
-    u = np.empty_like(r)
+    step = extent / rows
+    blocks = _blocks(rows)
+
+    def evaluate(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        r = np.arange(lo + 1, hi + 1, dtype=float) * step
+        if hi == rows:
+            r[-1] = extent
+        with np.errstate(over="ignore", invalid="ignore"):
+            return r, _wavefunction(state.coefficients, x, basis, r / h) / math.sqrt(h)
+
+    norm = 0.0
+    edge = 0.0  # u at the point each block's Simpson sum starts from
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(r), _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            u[rows] = _wavefunction(state.coefficients, x, basis, r[rows] / h)
-        u /= math.sqrt(h)
-        step = float(r[1])
-        norm = composite_simpson(np.multiply(u, u, out=r), step)
-        del r
+        for lo, hi in blocks:
+            u = np.concatenate(([edge], evaluate(lo, hi)[1]))
+            norm += composite_simpson(u * u, step)
+            edge = u[-1]
     if not math.isfinite(norm):
         raise DomainError(f"level {state.level}: the output table overflows float64 "
                           f"(r_max = {extent:g})")
-    u /= math.sqrt(norm)
-    return np.linspace(0.0, extent, len(u))[1:], u[1:]
+    scale = math.sqrt(norm)
+
+    def normalized() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for lo, hi in blocks:
+            r, u = evaluate(lo, hi)
+            u /= scale
+            yield r, u
+
+    return normalized()
+
+
+def wave_table(state: BoundState) -> tuple[np.ndarray, np.ndarray]:
+    """The output table of a solved state: radii and u, grid_points rows each.
+
+    The rows of :func:`wave_blocks`, joined into two arrays; raises
+    :class:`DomainError` when the norm leaves float64.
+    """
+    import numpy as np
+
+    radii, u = zip(*wave_blocks(state))
+    return np.concatenate(radii), np.concatenate(u)
 
 
 def virial_check(state: BoundState) -> float:

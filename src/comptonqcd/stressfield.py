@@ -132,7 +132,12 @@ class RadialTable(Frozen):
         densities: "list[float] | tuple[float, ...] | np.ndarray",
         total_energy: Quantity,
     ) -> "RadialTable":
-        """Validate the samples and rescale them so they integrate to E_tot."""
+        """Validate the samples and rescale them so they integrate to E_tot.
+
+        A non-zero density that the rescale takes below float64's normal range
+        (or past it) would no longer be the sample given, so it raises
+        :class:`InvalidSource` naming the sample.
+        """
         r = tuple(float(x) for x in radii)
         eps = tuple(float(x) for x in densities)
         _validate_samples(r, eps)
@@ -143,7 +148,12 @@ class RadialTable(Frozen):
         if norm <= 0.0:
             raise InvalidSource("profile integrates to zero energy")
         scale = total_energy.value / norm
-        return RadialTable(r, tuple(e * scale for e in eps), Quantity(r[-1], -1), total_energy)
+        stored = tuple(e * scale for e in eps)
+        for i, (e, value) in enumerate(zip(eps, stored)):
+            if e != 0.0 and not is_normal(value):
+                raise InvalidSource(f"sample {i} (r = {r[i]:g}, eps = {e:g}) rescales to "
+                                    f"{value:g}, not a normal float64")
+        return RadialTable(r, stored, Quantity(r[-1], -1), total_energy)
 
 
 def _validate_samples(r: tuple[float, ...], eps: tuple[float, ...]) -> None:

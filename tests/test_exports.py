@@ -20,3 +20,11 @@ def test_every_layer_lists_only_names_it_defines():
         layer = importlib.import_module(f"comptonqcd.{layer_name}")
         missing = [name for name in layer.__all__ if not hasattr(layer, name)]
         assert missing == [], layer.__name__
+
+
+def test_the_blocked_table_evaluator_is_exported():
+    # the CLI streams spectrum's CSV rows through it, and library callers may too
+    from comptonqcd import spectrum, wave_blocks
+
+    assert "wave_blocks" in comptonqcd.__all__ and "wave_blocks" in comptonqcd._EXPORTS["spectrum"]
+    assert wave_blocks is spectrum.wave_blocks

@@ -177,6 +177,7 @@ CALLS = {
     "cover_extent": lambda d: comptonqcd.cover_extent(
         d.value(), d.value(), d.value(), d(st.integers(0, 51)), d(st.integers(-1, 3))),
     "solve_bound_state": lambda d: d.state(),
+    "wave_blocks": lambda d: list(comptonqcd.wave_blocks(d.state())),
     "wave_table": lambda d: comptonqcd.wave_table(d.state()),
     "virial_check": lambda d: comptonqcd.virial_check(d.state()),
     "bound_state_sidecar": lambda d: comptonqcd.bound_state_sidecar(d.state()),

@@ -262,6 +262,15 @@ def test_cover_extent_rejects_bad_input():
                  (1.0, 0.0, 1.0, 51, 0), (1.0, 0.0, 1.0, 1, -1)):
         with pytest.raises(DomainError):
             cover_extent(*args)
+    # a nan or negative coupling was once ignored: the first two returned the
+    # linear-only cover 13.74709216593793 and the third the Coulomb-free 17.0
+    for args, named in (((math.nan, 1.0, 1.0, 1, 0), "alpha = nan, sigma = 1, mu = 1"),
+                        ((-1.0, 1.0, 1.0, 1, 0), "alpha = -1, sigma = 1, mu = 1"),
+                        ((1.0, -2.0, 1.0, 1, 0), "alpha = 1, sigma = -2, mu = 1"),
+                        ((math.nan, math.nan, 1.0, 1, 0), "alpha = nan, sigma = nan, mu = 1")):
+        message = rf"^alpha and sigma must be non-negative \({named}\)$"
+        with pytest.raises(DomainError, match=message):
+            cover_extent(*args)
     # a decay scale that underflows, and a cover that overflows, leave float64
     for args, name in (((1e-300, 0.0, 1e-300, 1, 0), r"mu\*alpha = 0"),
                        ((1e-5, 0.0, 1e-305, 1, 0), r"mu\*alpha = 1e-310"),
@@ -542,10 +551,13 @@ class _Digest(io.TextIOBase):
         return len(text)
 
 
-def test_csv_export_memory_is_its_two_arrays():
-    # 10^6 rows of text are 23.9 MB; written a block at a time, the export
-    # holds its two float64 arrays and a few MB more.  Its bytes are those of
-    # the table when it was joined into one string before it was written
+def test_csv_export_memory_is_one_block():
+    # 10^6 rows of text are 23.9 MB, and one float64 array of the table 8 MB.
+    # Evaluated, normalized and written a block at a time, the export traces
+    # about 0.5 MiB (18.3 MiB when it held the table's two arrays).  Summing
+    # the norm per block moved two rows in the 10th digit: rows 450701
+    # (0.007208407109 -> 0.00720840711) and 743090 (8.247193449e-05 ->
+    # 8.24719345e-05)
     argv = ["spectrum", "--grid-points", str(MAX_GRID_POINTS), "--format", "csv"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv[:2] + ["1000", "--format", "csv"]) == 0
@@ -557,14 +569,16 @@ def test_csv_export_memory_is_its_two_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sink.chars == 23_917_961
-    assert sink.sha.hexdigest() == ("2ed5004c7db03ebda9b93ad3fec5a34c"
-                                    "64c2e0997160553b41f02ca30d6b8633")
-    assert peak <= 2 * 8 * MAX_GRID_POINTS + (6 << 20)
+    assert sink.chars == 23_917_959
+    assert sink.sha.hexdigest() == ("9ed5e8c156661aa4887e24967e27720e"
+                                    "bfb0f69da5ae8ce81fee77b1e81842b7")
+    assert peak < 1 << 20
 
 
 def test_only_the_csv_form_evaluates_table_rows(monkeypatch):
-    # the other forms evaluate u only at the (N+1)-point tail rule's nodes
+    # the other forms evaluate u only at the (N+1)-point tail rule's nodes;
+    # the CSV form evaluates each table row twice, in blocks of at most 4096
+    # rows: once for the norm, once to print it
     points = []
     evaluate = spectrum._wavefunction
 
@@ -583,7 +597,36 @@ def test_only_the_csv_form_evaluates_table_rows(monkeypatch):
     points.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["spectrum", "--format", "csv"]) == 0
-    assert points == [tail, spectrum.DEFAULT_GRID_POINTS + 1]
+    blocks = [4096] * 4 + [spectrum.DEFAULT_GRID_POINTS - 4 * 4096]
+    assert points == [tail] + blocks + blocks
+
+
+# 4097 and 8193 leave one row past a whole block, which the last block takes
+# with two rows of the block before, for the rule's 3/8 tail
+@pytest.mark.parametrize("rows", [1000, 1001, 4096, 4097, 4098, 8193, 8195, 10001, 12000])
+def test_blocked_table_keeps_the_whole_table_simpson_rule(rows):
+    prob = RadialProblem(CORNELL, Quantity(0.7, 1), 2, rows)
+    state = solve_bound_state(prob, 3)
+    blocks = list(spectrum.wave_blocks(state))
+    assert all(0 < len(r) == len(u) <= 4096 for r, u in blocks)
+    radii, u = wave_table(state)
+    assert np.array_equal(radii, np.concatenate([r for r, _ in blocks]))
+    assert np.array_equal(u, np.concatenate([v for _, v in blocks]))
+    # the reference: the whole table in one array, as linspace spaces it
+    x, basis, _ = spectrum._laguerre_mesh(len(state.coefficients))
+    h = state.r_max / x[-1]
+    r = np.linspace(0.0, state.r_max, rows + 1)
+    assert np.array_equal(radii, r[1:])
+    reference = spectrum._wavefunction(state.coefficients, x, basis, r / h)[1:] / math.sqrt(h)
+    reference /= math.sqrt(_simpson_norm(state))
+    assert np.allclose(u, reference, rtol=1e-15, atol=0.0)
+
+
+def test_a_table_that_overflows_is_refused_before_any_row_is_yielded(monkeypatch):
+    state = solve_bound_state(RadialProblem(COULOMB, Quantity(1.0, 1), 0, 1000), 1)
+    monkeypatch.setattr(spectrum, "_wavefunction", lambda c, x, basis, t: np.full_like(t, 1e200))
+    with pytest.raises(DomainError, match=r"^level 1: the output table overflows float64"):
+        spectrum.wave_blocks(state)
 
 
 # --- confinement chain --------------------------------------------------------------

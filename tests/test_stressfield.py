@@ -12,6 +12,7 @@ and stay independent of the quadrature path they check.
 
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from comptonqcd import stressfield
 from comptonqcd.errors import DomainError, InvalidDimension, InvalidSource, RegimeError
 from comptonqcd.natunits import Quantity
 from comptonqcd.stressfield import (
@@ -241,6 +243,12 @@ def test_table_moments_and_exterior_kernels_are_exact(first, gaps, data, total_e
     densities = data.draw(st.lists(st.floats(0.0, 10.0), min_size=len(gaps),
                                    max_size=len(gaps)), label="densities") + [0.0]
     densities[0] += 0.5  # a profile that integrates to zero is rejected
+    # a density the rescale takes below float64's normal range is refused
+    scale = total_energy / stressfield._energy_moment(tuple(radii), tuple(densities))
+    if any(e != 0.0 and abs(e * scale) < sys.float_info.min for e in densities):
+        with pytest.raises(InvalidSource, match=r"^sample \d+ .* not a normal float64$"):
+            RadialTable.from_samples(radii, densities, Quantity(total_energy, 1))
+        return
     assert_exact_table(RadialTable.from_samples(radii, densities, Quantity(total_energy, 1)))
 
 
@@ -270,6 +278,18 @@ def test_table_validation_errors():
         RadialTable.from_samples([0.0, 1.0], [1.0, 0.5], e)  # final sample nonzero
     with pytest.raises(InvalidSource):
         RadialTable.from_samples([0.5], [0.0], e)  # too short
+
+
+def test_table_density_rescaled_out_of_normal_range_is_invalid_source():
+    # the rescale once stored 9.55e-321, a subnormal that is not the sample given
+    e = Quantity(1.0, 1)
+    with pytest.raises(InvalidSource, match=re.escape(
+            "sample 1 (r = 1, eps = 9.99989e-321) rescales to 9.55029e-321, "
+            "not a normal float64")):
+        RadialTable.from_samples([0.0, 1.0, 2.0], [1.0, 1e-320, 0.0], e)
+    # a subnormal sample that the rescale takes into the normal range is kept
+    table = RadialTable.from_samples([0.0, 1.0, 2.0], [1e-15, 1e-320, 0.0], e)
+    assert table.densities[1] > 2.2250738585072014e-308
 
 
 def test_table_moment_overflow_is_invalid_source():

@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import estimator, potential as pot, spectrum as spec, stressfield as sf
 from .errors import DomainError, ToolkitError
-from .natunits import E2_PAPER, E2_PRECISE, Quantity, compton_wavelength, is_normal
+from .natunits import E2_PAPER, E2_PRECISE, Quantity, compton_wavelength, is_normal, normal_float
 
 __all__ = ["main", "console_main", "RunConfig", "schema_path"]
 
@@ -288,9 +288,7 @@ def _sample_range(opts: dict, r_start: float, r_stop: float) -> list[float]:
     if points < 2 or not 0.0 < r_start < r_stop:
         raise ToolkitError("need points >= 2 and 0 < r_start < r_stop")
     step = (r_stop - r_start) / (points - 1)
-    if not is_normal(step):
-        raise ToolkitError(f"the step {step:g} between {points} radii from {r_start:g} "
-                           f"to {r_stop:g} underflows float64")
+    normal_float(step, "the step {} between {} radii from {} to {}", step, points, r_start, r_stop)
     return [r_start + i * step for i in range(points)]
 
 

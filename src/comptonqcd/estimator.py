@@ -12,11 +12,13 @@ reproduces bit for bit at the default coupling e^2 = 1/137.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from enum import Enum
 from fractions import Fraction
 
 from .errors import DomainError
-from .natunits import Frozen, Quantity, normal_float, resolve_e_squared
+from .natunits import Frozen, Quantity, normal_float, range_error, resolve_e_squared
 from .potential import charge_fraction
 
 __all__ = [
@@ -40,14 +42,20 @@ class MassEstimate(Frozen):
     """A mass in units of m_e, reproducible from its defining fields.
 
     mass = fermions / (slope_coefficient * e_squared); ``fermions`` counts
-    the constituents (1 unless stated otherwise).  ``mass`` raises
-    :class:`DomainError` when the mass is not a normal float64.
+    the constituents (1 unless stated otherwise).  The coefficient and e^2
+    are exact: ints or rationals.  ``mass`` raises :class:`DomainError` when
+    the mass is not a normal float64.
     """
 
     __slots__ = ("slope_coefficient", "e_squared", "fermions")
 
     def __init__(self, slope_coefficient: Fraction, e_squared: Fraction,
                  fermions: int = 1) -> None:
+        for name, value in (("slope coefficient", slope_coefficient), ("e^2", e_squared)):
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise DomainError(f"{name} must be an int or a Fraction, got {value!r}")
+        if isinstance(fermions, bool) or not isinstance(fermions, int):
+            raise DomainError(f"fermion count must be an integer, got {fermions!r}")
         if slope_coefficient <= 0:
             raise DomainError(f"slope coefficient must be positive, got {slope_coefficient}")
         if e_squared <= 0:
@@ -73,7 +81,12 @@ def effective_mass_from_slope(
     e_squared: Fraction | float | None = None,
     fermions: int = 1,
 ) -> MassEstimate:
-    """Mass m_e / (k * e^2) implied by a linear slope coefficient k."""
+    """Mass m_e / (k * e^2) implied by a linear slope coefficient k.
+
+    k is a real number other than a bool; a float converts exactly.
+    """
+    if isinstance(k, bool) or not isinstance(k, numbers.Real):
+        raise DomainError(f"slope coefficient must be a real number, got {k!r}")
     if isinstance(k, float) and not math.isfinite(k):
         raise DomainError(f"slope coefficient must be finite, got {k}")
     coeff = k if isinstance(k, Fraction) else Fraction(k)
@@ -112,18 +125,25 @@ def classify_regime(scale_over_compton: float, band_halfwidth: float = 0.5) -> R
     """Classify a probe scale (as a multiple of the Compton wavelength).
 
     Quark at or below 1 - delta, Electron at or above 1 + delta, Pion in the
-    band between; delta defaults to 0.5.
+    band between; delta defaults to 0.5.  Both are real numbers other than
+    bools, compared exactly; a ratio past float64's range is a
+    :class:`DomainError`.
     """
-    x = float(scale_over_compton)
-    if not x > 0.0:
-        raise DomainError(f"scale ratio must be positive, got {scale_over_compton}")
-    if not math.isfinite(x):
-        raise DomainError(f"scale ratio must be finite, got {scale_over_compton}")
-    if not 0.0 < band_halfwidth < 1.0:
-        raise DomainError(f"band halfwidth must lie in (0, 1), got {band_halfwidth}")
-    if x <= 1.0 - band_halfwidth:
+    x, delta = scale_over_compton, band_halfwidth
+    for name, value in (("scale ratio", x), ("band halfwidth", delta)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{name} must be a real number, got {value!r}")
+    if not x > 0:
+        raise DomainError(f"scale ratio must be positive, got {x}")
+    if not x < math.inf:
+        raise DomainError(f"scale ratio must be finite, got {x}")
+    if x > sys.float_info.max:  # an int or a rational too large for a float
+        raise range_error((math.inf,), "the scale ratio {}", Fraction(x))
+    if not 0 < delta < 1:
+        raise DomainError(f"band halfwidth must lie in (0, 1), got {delta}")
+    if x <= 1 - delta:
         return Regime.QUARK
-    if x >= 1.0 + band_halfwidth:
+    if x >= 1 + delta:
         return Regime.ELECTRON
     return Regime.PION
 

@@ -27,6 +27,7 @@ __all__ = [
     "resolve_e_squared",
     "is_normal",
     "normal_float",
+    "range_error",
     "E2_PAPER",
     "E2_PRECISE",
 ]
@@ -174,11 +175,14 @@ def resolve_e_squared(e_squared: Fraction | float | int | None) -> Fraction:
 
     None selects the default 1/137.  Floats convert exactly (every finite
     float is a dyadic rational), so an explicit float override stays
-    reproducible; nan, infinities and an e^2 whose float64 is not normal
-    raise :class:`DomainError`.
+    reproducible; a bool or a value that is not a real number, nan,
+    infinities and an e^2 whose float64 is not normal raise
+    :class:`DomainError`.
     """
     if e_squared is None:
         return E2_PAPER
+    if isinstance(e_squared, bool) or not isinstance(e_squared, (Fraction, numbers.Real)):
+        raise DomainError(f"e^2 must be a real number, got {e_squared!r}")
     if isinstance(e_squared, float) and not math.isfinite(e_squared):
         raise DomainError(f"e^2 must be finite, got {e_squared}")
     frac = e_squared if isinstance(e_squared, Fraction) else Fraction(e_squared)
@@ -201,22 +205,30 @@ def is_normal(*values: float) -> bool:
     return True
 
 
-def normal_float(value: Fraction | float, what: str, *inputs) -> float:
-    """``float(value)``, which must be a normal float64 unless value is exactly zero.
+def range_error(values, what: str, *inputs) -> DomainError:
+    """The DomainError "<what> overflows float64" if any value is inf or nan, else "underflows".
 
-    Otherwise :class:`DomainError` says that ``what`` overflows or underflows
-    float64, with each ``{}`` in it filled by one of ``inputs``, numbers to 6
-    significant digits.  A rational too large for a float overflows: ``float``
-    raises OverflowError for it where float arithmetic gives inf.
+    Each ``{}`` in ``what`` takes one of ``inputs``: a number to ``%.6g``, a string as it is.
+    """
+    bound = "underflows" if all(map(math.isfinite, values)) else "overflows"
+    return DomainError(f"{what.format(*map(_g, inputs))} {bound} float64")
+
+
+def normal_float(value: Fraction | float, what: str, *inputs) -> float:
+    """``float(value)``, which must be a normal float64 unless value is an exact zero.
+
+    Only an int or a rational zero is exact; a float zero may have underflowed.
+    Otherwise it raises :func:`range_error` for ``what`` and ``inputs``.  A
+    rational too large for a float overflows: ``float`` raises OverflowError
+    for it where float arithmetic gives inf.
     """
     try:
         result = float(value)
     except OverflowError:
         result = math.inf
-    if value == 0 or is_normal(result):
+    if is_normal(result) or (value == 0 and isinstance(value, (int, Fraction))):
         return result
-    bound = "underflows" if math.isfinite(result) else "overflows"
-    raise DomainError(f"{what.format(*map(_g, inputs))} {bound} float64")
+    raise range_error((result,), what, *inputs)
 
 
 def _g(x) -> str:

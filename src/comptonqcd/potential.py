@@ -32,7 +32,7 @@ from .errors import (
     InvalidMass,
     SingularConfiguration,
 )
-from .natunits import Frozen, Quantity, is_normal, normal_float, resolve_e_squared
+from .natunits import Frozen, Quantity, is_normal, normal_float, range_error, resolve_e_squared
 
 __all__ = [
     "CornellPotential",
@@ -89,11 +89,10 @@ def evaluate_cornell(potential: CornellPotential, r: Quantity) -> Quantity:
         raise DomainError(f"radius must be positive, got {r.value}")
     alpha, sigma = potential.alpha.value, potential.sigma.value
     coulomb, linear = alpha / r.value, sigma * r.value
-    for coefficient, term in ((alpha, coulomb), (sigma, linear)):
-        if coefficient != 0.0 and not is_normal(term):
-            bound = "overflows" if math.isinf(term) else "underflows"
-            raise DomainError(f"V at alpha = {alpha:g}, sigma = {sigma:g}, "
-                              f"r = {r.value:g} {bound} float64")
+    # a term with a zero coefficient is an exact zero
+    if not is_normal(coulomb if alpha else 1.0, linear if sigma else 1.0):
+        raise range_error((coulomb, linear), "V at alpha = {}, sigma = {}, r = {}",
+                          alpha, sigma, r.value)
     return Quantity(-coulomb + linear, 1)
 
 
@@ -107,7 +106,8 @@ def charge_fraction(d: int) -> Fraction:
 class QuarkConfiguration(Frozen):
     """Point charges (exact rationals, units of e) on a line with spacing l.
 
-    Positions are finite, dimensionless multiples of the separation scale l.
+    Each charge is an int or a Fraction, not a bool.  Positions are finite,
+    dimensionless multiples of the separation scale l.
     """
 
     __slots__ = ("charges", "positions", "separation")
@@ -116,6 +116,8 @@ class QuarkConfiguration(Frozen):
                  separation: Quantity) -> None:
         if len(charges) != len(positions) or len(charges) < 2:
             raise DomainError("need at least two charges with matching positions")
+        if any(isinstance(q, bool) or not isinstance(q, (int, Fraction)) for q in charges):
+            raise DomainError(f"charges must be ints or Fractions, got {charges}")
         if separation.dim != -1 or separation.value <= 0.0:
             raise DomainError("separation must be a positive length (dim -1)")
         if not all(map(math.isfinite, positions)):
@@ -195,7 +197,8 @@ def central_displacement_energy(
     line (distances pick up square roots, so this path is float).  The
     displacement must keep the central charge strictly between its neighbours,
     |displacement| < 1.  A non-zero energy that is not a normal float64
-    raises :class:`DomainError`.
+    raises :class:`DomainError`; a transverse energy is an exact zero only
+    when every pair's charge product is zero, and any float zero underflowed.
     """
     if axis not in ("axial", "transverse"):
         raise DomainError(f"axis must be 'axial' or 'transverse', got {axis!r}")
@@ -211,15 +214,15 @@ def central_displacement_energy(
         positions = [Fraction(x) for x in cfg.positions]
         positions[c] += Fraction(displacement)
         return Quantity(normal_float(_exact_energy(cfg, positions, e2), what, *inputs), 1)
+    products = {(i, j): cfg.charges[i] * cfg.charges[j]
+                for i, j in itertools.combinations(range(len(cfg.charges)), 2)}
+    if not any(products.values()):
+        return Quantity(0.0, 1)  # no pair interacts: the energy is exactly zero
     total_f = 0.0
     try:
-        for i in range(len(cfg.positions)):
-            for j in range(i + 1, len(cfg.positions)):
-                dx = cfg.positions[i] - cfg.positions[j]
-                dy = displacement if i == c else 0.0
-                dy -= displacement if j == c else 0.0
-                dist_f = math.hypot(dx, dy)
-                total_f += float(cfg.charges[i] * cfg.charges[j]) / dist_f
+        for (i, j), product in products.items():
+            dy = displacement * ((i == c) - (j == c))
+            total_f += float(product) / math.hypot(cfg.positions[i] - cfg.positions[j], dy)
     except OverflowError:  # a charge product too large for a float
         total_f = math.inf
     return Quantity(normal_float(total_f * float(e2) / cfg.separation.value, what, *inputs), 1)
@@ -238,11 +241,6 @@ def confinement_slope(
     if separation.dim != -1 or separation.value <= 0.0:
         raise DomainError("separation must be a positive length (dim -1)")
     e2 = resolve_e_squared(e_squared)
-    try:
-        value = float(e2 / 9 / Fraction(separation.value) ** 2)
-    except OverflowError:
-        value = math.inf
-    if not is_normal(value):
-        raise DomainError(f"l = {separation.value:g} puts the declared slope "
-                          "e^2/(9 l^2) outside float64")
-    return Quantity(value, 2)
+    return Quantity(normal_float(e2 / 9 / Fraction(separation.value) ** 2,
+                                 "the declared slope e^2/(9 l^2) at l = {}, e^2 = {}",
+                                 separation.value, e2), 2)

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, GridTooSmall, NoBoundState
 from .estimator import quark_mass_estimate
-from .natunits import Frozen, Quantity, compton_wavelength, is_normal
+from .natunits import Frozen, Quantity, compton_wavelength, normal_float
 from .potential import CornellPotential, cornell_from_quark_mass
 from .quadrature import composite_simpson
 
@@ -153,26 +153,19 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
     if not (alpha >= 0.0 and sigma >= 0.0):
         raise DomainError(f"alpha and sigma must be non-negative "
                           f"(alpha = {alpha:g}, sigma = {sigma:g}, mu = {mu:g})")
+    at, inputs = " at alpha = {}, sigma = {}, mu = {}", (alpha, sigma, mu)
     covers = []
     if sigma > 0.0:
-        _check_scale("2*mu*sigma", 2.0 * mu * sigma, alpha, sigma, mu)
+        scale = normal_float(2.0 * mu * sigma, "2*mu*sigma" + at, *inputs)
         wkb = (1.5 * math.pi * (n + 0.5 * ell - 0.25)) ** (2.0 / 3.0)
-        covers.append((wkb + _DECAY_LENGTHS) * (2.0 * mu * sigma) ** (-1.0 / 3.0))
+        covers.append((wkb + _DECAY_LENGTHS) * scale ** (-1.0 / 3.0))
     if alpha > 0.0:
-        _check_scale("mu*alpha", mu * alpha, alpha, sigma, mu)
+        scale = normal_float(mu * alpha, "mu*alpha" + at, *inputs)
         k = n + ell
-        covers.append((2.0 * k * k + (_DECAY_LENGTHS + 0.5 * (k - 1)) * k) / (mu * alpha))
+        covers.append((2.0 * k * k + (_DECAY_LENGTHS + 0.5 * (k - 1)) * k) / scale)
     if not covers:
         raise NoBoundState("potential is identically zero")
-    cover = min(covers)
-    _check_scale("the mesh cover", cover, alpha, sigma, mu)
-    return cover
-
-
-def _check_scale(name: str, value: float, alpha: float, sigma: float, mu: float) -> None:
-    if not is_normal(value):
-        raise DomainError(f"{name} = {value:g} is not a normal float64 "
-                          f"(alpha = {alpha:g}, sigma = {sigma:g}, mu = {mu:g})")
+    return normal_float(min(covers), "the mesh cover" + at, *inputs)
 
 
 def _mesh_size(n: int) -> int:
@@ -297,9 +290,7 @@ def solve_bound_state(p: RadialProblem, n: int) -> BoundState:
             raise GridTooSmall(f"level {n}: the mesh shows {nodes} node(s), not {n - 1}")
         mesh_radii = h * x
         rms = math.sqrt(float((c * c * mesh_radii * mesh_radii).sum()))
-    if not is_normal(rms):
-        bound = "underflows" if math.isfinite(rms) else "overflows"
-        raise DomainError(f"level {n}: the RMS radius {bound} float64 (r_max = {extent:g})")
+    rms = normal_float(rms, "level {}: the RMS radius at r_max = {}", n, extent)
     held = _coverage(c, x, basis)
     if abs(1.0 - held) > _NORM_TOL:
         raise GridTooSmall(f"level {n}: [0, {extent:g}] holds {held:.9g} of the probability")

@@ -43,7 +43,8 @@ from .errors import (
     InvalidSource,
     RegimeError,
 )
-from .natunits import Frozen, Quantity, compton_wavelength, is_normal, resolve_e_squared
+from .natunits import (Frozen, Quantity, compton_wavelength, is_normal, range_error,
+                       resolve_e_squared)
 from .quadrature import composite_simpson
 
 # numpy is imported inside the functions that use it, so that the exact
@@ -296,9 +297,8 @@ def _kernel(name: str, src: SourceDensity, r: Quantity, value: float, dim: int) 
     """
     if not is_normal(value):
         kind = "ball" if isinstance(src, UniformBall) else "table"
-        bound = "underflows" if math.isfinite(value) else "overflows"
-        raise DomainError(f"the {name} kernel of a {kind} of radius "
-                          f"{src.support_radius.value:g} at r = {r.value:g} {bound} float64")
+        raise range_error((value,), "the {} kernel of a {} of radius {} at r = {}", name, kind,
+                          src.support_radius.value, r.value)
     return Quantity(value, dim)
 
 
@@ -390,9 +390,7 @@ def near_field_potential(src: SourceDensity, m: Quantity, r: Quantity) -> Quanti
     # the kernels are normal already: _kernel raises on any other value
     terms = (cube, inverse_term, linear_term, total)
     if not is_normal(*terms):
-        bound = "overflows" if math.inf in terms else "underflows"
-        raise DomainError(f"the near field at m = {m.value:g}, r = {r.value:g} "
-                          f"{bound} float64")
+        raise range_error(terms, "the near field at m = {}, r = {}", m.value, r.value)
     # m * inverse kernel and m^3 * linear kernel both have dim 3
     return Quantity(total, 3)
 
@@ -426,7 +424,5 @@ def far_field_coupling(
     value = float(Fraction(d, 3)) * float(e2) * energy_ratio / r.value
     terms = (energy_ratio, value)
     if not is_normal(*terms):
-        bound = "overflows" if math.inf in terms else "underflows"
-        raise DomainError(f"the far field at d = {d}, m = {m.value:g}, r = {r.value:g} "
-                          f"{bound} float64")
+        raise range_error(terms, "the far field at d = {}, m = {}, r = {}", d, m.value, r.value)
     return Quantity(value, 1)

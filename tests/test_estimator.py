@@ -106,6 +106,14 @@ def test_classify_regime_rejects_bad_inputs():
         classify_regime(1.0, band_halfwidth=0.0)
 
 
+def test_classify_regime_compares_exact_ratios():
+    # a rational is compared exactly, also where its float would be zero
+    assert classify_regime(Fraction(1, 10**400)) is Regime.QUARK
+    assert classify_regime(1e-320) is Regime.QUARK
+    assert classify_regime(Fraction(3, 2), Fraction(1, 2)) is Regime.ELECTRON
+    assert classify_regime(Fraction(3, 2) - Fraction(1, 10**30), Fraction(1, 2)) is Regime.PION
+
+
 _ORDER = {Regime.QUARK: 0, Regime.PION: 1, Regime.ELECTRON: 2}
 
 

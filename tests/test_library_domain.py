@@ -6,8 +6,14 @@ sweep's extremes (nan, +-inf, +-0, 1e-320, 1e-300, 1e308, 1.7e308), a few
 ordinary values and any float, with every warning an error.  The rule: the
 call raises a :class:`ToolkitError`, or every float it returns is finite and
 normal wherever its exact value is non-zero.  The sweep cannot tell an exact
-zero from an underflow, so a returned zero passes; a float that equals a
-drawn input passes too, as a constructor stores its arguments.  ``Quantity``'s
+zero from an underflow by its value, so a returned zero passes; the library
+itself is stricter, as ``natunits.normal_float`` passes a zero only from an
+int or a rational, and ``_FAULTS`` pins the paths that once returned a float
+zero.  A float that equals a drawn input passes too, as a constructor stores
+its arguments.  Now and then an argument that must be exact or real (a
+charge, a slope coefficient, a fermion count, e^2, the regime's ratio and
+band) is drawn as a string, a bool or a float that the call must reject: a
+call that returns anyway has coerced it silently, and fails.  ``Quantity``'s
 arithmetic operators are out of scope: they return whatever float arithmetic
 gives, so ``Quantity(1e-300, -1) * Quantity(1e-300, -1)`` holds 0.0.
 """
@@ -44,6 +50,10 @@ FRACTIONS = (st.sampled_from([Fraction(1, 137), Fraction(1, 9), Fraction(1e-320)
                               Fraction(1.7e308), Fraction(1, 10**400), Fraction(10**400)])
              | st.fractions() | st.integers(-3, 10))
 E_SQUARED = st.one_of(st.none(), st.none(), FLOATS, FRACTIONS)
+# values an exact or real argument must reject rather than coerce
+NOT_REAL = st.sampled_from(["2", "1/9", True, False])
+NOT_INT = st.sampled_from([True, False, 2.5, 2.0, "2"])
+NOT_EXACT = st.sampled_from([0.5, 2.0, True, "1/3"])
 
 
 class _Draw:
@@ -60,6 +70,14 @@ class _Draw:
         self.inputs = []
         self.wild = {data.draw(st.integers(0, 7), label="wild argument") for _ in range(2)}
         self.count = 0
+        self.rejected = []
+
+    def checked(self, strategy, bad):
+        """A draw from strategy, or one time in four from bad, which the call must reject."""
+        if not self(st.sampled_from([False] * 3 + [True])):
+            return self(strategy)
+        self.rejected.append(self(bad))
+        return self.rejected[-1]
 
     def __call__(self, strategy):
         value = self.data.draw(strategy)
@@ -109,11 +127,12 @@ class _Draw:
         for _ in range(self(st.integers(1, 2))):
             positions.append(positions[-1] + self.value())
         self.inputs += positions
-        charges = tuple(self(FRACTIONS) for _ in positions)
+        charges = tuple(self.checked(FRACTIONS, NOT_EXACT) for _ in positions)
         return QuarkConfiguration(charges, tuple(positions), self.quantity(-1))
 
     def mass_estimate(self):
-        return MassEstimate(self(FRACTIONS), self(FRACTIONS), self(st.integers(-1, 10**6)))
+        return MassEstimate(self.checked(FRACTIONS, NOT_EXACT), self(FRACTIONS),
+                            self.checked(st.integers(-1, 10**6), NOT_INT))
 
 
 def _load_source_csv(d):
@@ -130,7 +149,7 @@ CALLS = {
     # natunits
     "Quantity": lambda d: Quantity(d(FLOATS), d(st.integers(-3, 3))),
     "compton_wavelength": lambda d: comptonqcd.compton_wavelength(d.quantity(1)),
-    "resolve_e_squared": lambda d: comptonqcd.resolve_e_squared(d(E_SQUARED)),
+    "resolve_e_squared": lambda d: comptonqcd.resolve_e_squared(d.checked(E_SQUARED, NOT_REAL)),
     # stressfield
     "UniformBall": lambda d: UniformBall(d.quantity(-1), d.quantity(1)),
     "RadialTable": lambda d: RadialTable(*map(tuple, d.samples()), d.quantity(-1),
@@ -165,12 +184,14 @@ CALLS = {
     # estimator
     "MassEstimate": lambda d: d.mass_estimate(),
     "effective_mass_from_slope": lambda d: comptonqcd.effective_mass_from_slope(
-        d(FLOATS | FRACTIONS), e_squared=d(E_SQUARED), fermions=d(st.integers(0, 3))),
+        d.checked(FLOATS | FRACTIONS, NOT_REAL), e_squared=d(E_SQUARED),
+        fermions=d.checked(st.integers(0, 3), NOT_INT)),
     "quark_mass_estimate": lambda d: comptonqcd.quark_mass_estimate(e_squared=d(E_SQUARED)),
     "pion_mass_estimate": lambda d: comptonqcd.pion_mass_estimate(
-        e_squared=d(E_SQUARED), fermions=d(st.integers(0, 3))),
+        e_squared=d(E_SQUARED), fermions=d.checked(st.integers(0, 3), NOT_INT)),
     "order_of_magnitude_ok": lambda d: comptonqcd.order_of_magnitude_ok(d.mass_estimate()),
-    "classify_regime": lambda d: comptonqcd.classify_regime(d.value(), d(FLOATS)),
+    "classify_regime": lambda d: comptonqcd.classify_regime(
+        d.checked(FLOATS | FRACTIONS, NOT_REAL), d.checked(FLOATS | FRACTIONS, NOT_REAL)),
     "derivation_report": lambda d: comptonqcd.derivation_report(e_squared=d(E_SQUARED)),
     # spectrum
     "RadialProblem": lambda d: d.problem(),
@@ -238,6 +259,7 @@ def test_library_input_domain_sweep(name, data):
             values = list(_floats(result))
         except ToolkitError:
             return
+    assert not draw.rejected, (name, "accepted", draw.rejected)
     for value in values:
         assert math.isfinite(value), (name, value)
         if value != 0.0 and abs(value) < sys.float_info.min:
@@ -247,7 +269,7 @@ def test_library_input_domain_sweep(name, data):
 _PROTON_NEAR = comptonqcd.proton_configuration(Quantity(1e-320, -1))
 _PROTON_FAR = comptonqcd.proton_configuration(Quantity(1.7e308, -1))
 _E2 = "e^2 = 0.00729927"
-# each once returned a subnormal or raised a bare OverflowError
+# each once returned a subnormal or a float zero, or raised a bare OverflowError
 _FAULTS = {
     "compton-subnormal": (lambda: comptonqcd.compton_wavelength(Quantity(1.7e308, 1)),
                           "the Compton wavelength 1/m at m = 1.7e+308 underflows float64"),
@@ -261,6 +283,14 @@ _FAULTS = {
     "transverse-subnormal": (
         lambda: comptonqcd.central_displacement_energy(_PROTON_FAR, 0.0, "transverse"),
         f"the transverse displacement energy at l = 1.7e+308, d = 0, {_E2} underflows float64"),
+    "transverse-negative-zero": (
+        lambda: comptonqcd.central_displacement_energy(
+            comptonqcd.proton_configuration(Quantity(1e100, -1)), 0.1, "transverse",
+            e_squared=1e-300),
+        "the transverse displacement energy at l = 1e+100, d = 0.1, e^2 = 1e-300 underflows "
+        "float64"),
+    "regime-past-float64": (lambda: comptonqcd.classify_regime(Fraction(10**400)),
+                            "the scale ratio 1e+400 overflows float64"),
     "transverse-charge-overflow": (
         lambda: comptonqcd.central_displacement_energy(QuarkConfiguration(
             (Fraction(1), Fraction(10**400), Fraction(1)), (0.0, 1.0, 2.0), Quantity(1.0, -1)),
@@ -302,3 +332,52 @@ def test_non_finite_positions_and_displacements_are_rejected():
             comptonqcd.central_displacement_energy(cfg, math.nan, axis)
     with pytest.raises(comptonqcd.DomainError, match=r"^slope coefficient must be finite"):
         comptonqcd.effective_mass_from_slope(math.inf)
+
+
+@pytest.mark.parametrize("charges", [(Fraction(0),) * 3, (0, Fraction(5), Fraction(0))])
+def test_configurations_with_no_interacting_pair_have_exactly_zero_energy(charges):
+    # an exact zero is not an underflow: no charge product is non-zero
+    cfg = QuarkConfiguration(charges, (-1.0, 0.0, 1.0), Quantity(1e100, -1))
+    energies = [comptonqcd.configuration_energy(cfg, e_squared=1e-300)]
+    for axis in ("axial", "transverse"):
+        energies.append(comptonqcd.central_displacement_energy(cfg, 0.1, axis,
+                                                               e_squared=1e-300))
+    for energy in energies:
+        assert energy.value == 0.0 and math.copysign(1.0, energy.value) == 1.0
+
+
+# each was once coerced: "1/9" and True gave the masses 1233 and 137,
+# fermions=True and 2.5 gave 137 and 342.5, float charges made the exact
+# energy a float, and the regime read "2" as 2 and True as 1, or raised a
+# bare TypeError for "0.5"
+_COERCIONS = {
+    "slope-str": (lambda: comptonqcd.effective_mass_from_slope("1/9"),
+                  "slope coefficient must be a real number, got '1/9'"),
+    "slope-bool": (lambda: comptonqcd.effective_mass_from_slope(True),
+                   "slope coefficient must be a real number, got True"),
+    "fermions-bool": (lambda: comptonqcd.pion_mass_estimate(fermions=True),
+                      "fermion count must be an integer, got True"),
+    "fermions-float": (lambda: comptonqcd.effective_mass_from_slope(1, fermions=2.5),
+                       "fermion count must be an integer, got 2.5"),
+    "estimate-float": (lambda: MassEstimate(0.5, Fraction(1, 137)),
+                       "slope coefficient must be an int or a Fraction, got 0.5"),
+    "charges-float": (lambda: QuarkConfiguration((0.5, 0.25), (0.0, 1.0), Quantity(1.0, -1)),
+                      "charges must be ints or Fractions, got (0.5, 0.25)"),
+    "charges-bool": (lambda: QuarkConfiguration((True, Fraction(1)), (0.0, 1.0),
+                                                Quantity(1.0, -1)),
+                     "charges must be ints or Fractions, got (True, Fraction(1, 1))"),
+    "regime-str": (lambda: comptonqcd.classify_regime("2"),
+                   "scale ratio must be a real number, got '2'"),
+    "regime-bool": (lambda: comptonqcd.classify_regime(True),
+                    "scale ratio must be a real number, got True"),
+    "regime-band-str": (lambda: comptonqcd.classify_regime(2.0, "0.5"),
+                        "band halfwidth must be a real number, got '0.5'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COERCIONS))
+def test_inexact_or_non_real_inputs_are_domain_errors(case):
+    call, message = _COERCIONS[case]
+    with pytest.raises(comptonqcd.DomainError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -24,6 +24,8 @@ from comptonqcd.natunits import (
     Quantity,
     compton_wavelength,
     is_normal,
+    normal_float,
+    range_error,
     resolve_e_squared,
 )
 from comptonqcd.cli import Output, RunConfig
@@ -205,6 +207,36 @@ def test_resolve_e_squared_rejects_non_finite(value):
 def test_is_normal(value, normal):
     assert is_normal(value) is normal
     assert is_normal(1.0, value, 2.0) is normal
+
+
+def test_normal_float_passes_only_exact_zeros():
+    # a float zero may be an underflow, as a transverse energy's -0.0 once was
+    for zero in (Fraction(0), 0):
+        assert normal_float(zero, "x") == 0.0
+    assert normal_float(Fraction(1, 3), "x") == 1.0 / 3.0
+    for value, bound in ((0.0, "underflows"), (-0.0, "underflows"), (5e-324, "underflows"),
+                         (Fraction(1, 10**400), "underflows"), (math.inf, "overflows"),
+                         (math.nan, "overflows"), (Fraction(10**400), "overflows")):
+        with pytest.raises(DomainError) as exc:
+            normal_float(value, "the value at a = {}", value)
+        assert str(exc.value).endswith(f" {bound} float64")
+
+
+def test_range_error_words_every_bound_one_way():
+    what = "the sum at a = {}, b = {}, kind = {}"
+    inputs = (1e-300, Fraction(10**400), "ball")
+    for values, bound in (((1.0, 0.0), "underflows"), ((5e-324, math.inf), "overflows"),
+                          ((math.nan, 0.0), "overflows"), ((-math.inf,), "overflows")):
+        error = range_error(values, what, *inputs)
+        assert isinstance(error, DomainError)
+        assert str(error) == f"the sum at a = 1e-300, b = 1e+400, kind = ball {bound} float64"
+
+
+@pytest.mark.parametrize("value", ["1/137", True, 1j])
+def test_resolve_e_squared_rejects_non_real_values(value):
+    # "1/137" and True were once read as e^2 = 1/137 and e^2 = 1
+    with pytest.raises(DomainError, match=r"^e\^2 must be a real number, got "):
+        resolve_e_squared(value)
 
 
 _TABLE = RadialTable.from_samples([0.0, 0.5, 1.0], [2.0, 1.0, 0.0], Quantity(3.0, 1))

@@ -272,13 +272,20 @@ def test_cover_extent_rejects_bad_input():
         with pytest.raises(DomainError, match=message):
             cover_extent(*args)
     # a decay scale that underflows, and a cover that overflows, leave float64
-    for args, name in (((1e-300, 0.0, 1e-300, 1, 0), r"mu\*alpha = 0"),
-                       ((1e-5, 0.0, 1e-305, 1, 0), r"mu\*alpha = 1e-310"),
-                       ((1.0, 1e-20, 1e-320, 1, 0), r"2\*mu\*sigma = 0"),
-                       ((1e10, 0.0, 1e300, 1, 0), r"mu\*alpha = inf"),
-                       ((1e-300, 0.0, 5e-8, 1, 0), "the mesh cover = inf")):
-        with pytest.raises(DomainError, match=f"^{name} is not a normal float64"):
+    for args, message in (
+            ((1e-300, 0.0, 1e-300, 1, 0),
+             "mu*alpha at alpha = 1e-300, sigma = 0, mu = 1e-300 underflows"),
+            ((1e-5, 0.0, 1e-305, 1, 0),
+             "mu*alpha at alpha = 1e-05, sigma = 0, mu = 1e-305 underflows"),
+            ((1.0, 1e-20, 1e-320, 1, 0),
+             "2*mu*sigma at alpha = 1, sigma = 1e-20, mu = 9.99989e-321 underflows"),
+            ((1e10, 0.0, 1e300, 1, 0),
+             "mu*alpha at alpha = 1e+10, sigma = 0, mu = 1e+300 overflows"),
+            ((1e-300, 0.0, 5e-8, 1, 0),
+             "the mesh cover at alpha = 1e-300, sigma = 0, mu = 5e-08 overflows")):
+        with pytest.raises(DomainError) as exc:
             cover_extent(*args)
+        assert str(exc.value) == f"{message} float64"
 
 
 def test_too_small_mesh_is_caught_by_the_node_count(monkeypatch):

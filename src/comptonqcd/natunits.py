@@ -232,10 +232,14 @@ def normal_float(value: Fraction | float, what: str, *inputs) -> float:
 
 
 def _g(x) -> str:
-    """A number as ``%.6g`` prints a float; a rational may lie past float64's range."""
-    if isinstance(x, (int, str)):
+    """A number as ``%.6g`` prints a float; a rational may lie past float64's range.
+
+    A string prints as it is, and so does an int within float64's range; a
+    larger int prints as a rational does (``1e+400``).
+    """
+    if isinstance(x, str) or (isinstance(x, int) and abs(x) <= sys.float_info.max):
         return str(x)
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         try:
             value = float(x)
         except OverflowError:

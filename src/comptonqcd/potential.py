@@ -32,7 +32,7 @@ from .errors import (
     InvalidMass,
     SingularConfiguration,
 )
-from .natunits import Frozen, Quantity, is_normal, normal_float, range_error, resolve_e_squared
+from .natunits import Frozen, Quantity, normal_float, resolve_e_squared
 
 __all__ = [
     "CornellPotential",
@@ -77,23 +77,21 @@ def cornell_from_quark_mass(m_quark: Quantity) -> CornellPotential:
 
 
 def evaluate_cornell(potential: CornellPotential, r: Quantity) -> Quantity:
-    """Evaluate -alpha/r + sigma*r at a positive radius.
+    """Evaluate -alpha/r + sigma*r at a positive radius, correctly rounded.
 
-    Each term with a non-zero coefficient must be a normal float64, or
-    :class:`DomainError` is raised; V itself is zero at the crossover radius
-    sqrt(alpha/sigma).
+    V is the exact value of its float inputs, rounded once: it is zero only
+    where that value is, and one outside float64's normal range raises
+    :class:`DomainError`.
     """
     if r.dim != -1:
         raise DomainError(f"radius must have dim -1, got dim {r.dim}")
     if r.value <= 0.0:
         raise DomainError(f"radius must be positive, got {r.value}")
     alpha, sigma = potential.alpha.value, potential.sigma.value
-    coulomb, linear = alpha / r.value, sigma * r.value
-    # a term with a zero coefficient is an exact zero
-    if not is_normal(coulomb if alpha else 1.0, linear if sigma else 1.0):
-        raise range_error((coulomb, linear), "V at alpha = {}, sigma = {}, r = {}",
-                          alpha, sigma, r.value)
-    return Quantity(-coulomb + linear, 1)
+    x = Fraction(r.value)
+    value = (Fraction(sigma) * x**2 - Fraction(alpha)) / x
+    return Quantity(normal_float(value, "V at alpha = {}, sigma = {}, r = {}",
+                                 alpha, sigma, r.value), 1)
 
 
 def charge_fraction(d: int) -> Fraction:

@@ -27,6 +27,10 @@ where the m^2 factor on the linear term stands in for the second time
 derivative of the source via the Compton-frequency substitution d/dt -> m.
 The far-field coupling is the d/3 trace fraction of the calibrated Coulomb
 coupling e^2/r, valid only outside the Compton wavelength.
+
+Each closed form (a ball's kernels, the near field from its two kernel values,
+the far-field coupling) is the exact value of its float inputs, rounded once
+by ``natunits.normal_float``.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .errors import (
     InvalidSource,
     RegimeError,
 )
-from .natunits import (Frozen, Quantity, compton_wavelength, is_normal, range_error,
+from .natunits import (Frozen, Quantity, compton_wavelength, is_normal, normal_float,
                        resolve_e_squared)
 from .quadrature import composite_simpson
 
@@ -264,8 +268,6 @@ def _table_integral(
     """
     import numpy as np
 
-    if hi <= lo:
-        return 0.0
     edges = [lo] + [p for p in radii if lo < p < hi] + [hi]
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -289,36 +291,37 @@ def _radius_value(r: Quantity) -> float:
     return r.value
 
 
-def _kernel(name: str, src: SourceDensity, r: Quantity, value: float, dim: int) -> Quantity:
-    """A kernel's value at r as a Quantity; one outside float64's normal range is a DomainError.
+def _kernel(name: str, src: SourceDensity, r: Quantity, value: Fraction | float,
+            dim: int) -> Quantity:
+    """A kernel's value at r, rounded once to a Quantity.
 
-    Every kernel is positive, so an inf or nan has overflowed and a zero or
-    subnormal has underflowed; the error names the source's radius and r.
+    Every kernel is positive, so one outside float64's normal range raises
+    :class:`DomainError` naming the source's radius and r.
     """
-    if not is_normal(value):
-        kind = "ball" if isinstance(src, UniformBall) else "table"
-        raise range_error((value,), "the {} kernel of a {} of radius {} at r = {}", name, kind,
-                          src.support_radius.value, r.value)
-    return Quantity(value, dim)
+    kind = "ball" if isinstance(src, UniformBall) else "table"
+    return Quantity(normal_float(value, "the {} kernel of a {} of radius {} at r = {}", name,
+                                 kind, src.support_radius.value, r.value), dim)
 
 
 def radial_reduce_inverse(src: SourceDensity, r: Quantity) -> Quantity:
     """Inverse-distance kernel Int eps(x') / |x - x'| d^3x' at radius r.
 
     Outside the support (r >= R) it is E_tot/r for every source (shell
-    theorem).  Inside, a uniform ball gives E_tot (3R^2 - r^2) / (2R^3); a
-    tabulated profile runs composite Simpson per smooth piece, and r = 0 is
-    clamped to R / DEFAULT_INTERVALS with :class:`ClampWarning`.  A value
-    past float64's range raises :class:`DomainError`.
+    theorem).  Inside, a uniform ball gives E_tot (3R^2 - r^2) / (2R^3),
+    correctly rounded; a tabulated profile runs composite Simpson per smooth
+    piece, and r = 0 is clamped to R / DEFAULT_INTERVALS with
+    :class:`ClampWarning`.  A value past float64's range raises
+    :class:`DomainError`.
     """
     rv = _radius_value(r)
     R = src.support_radius.value
     E = src.total_energy.value
     if rv >= R:
+        # one float division is already correctly rounded
         return _kernel("inverse", src, r, E / rv, 2)
     if isinstance(src, UniformBall):
-        t = rv / R
-        return _kernel("inverse", src, r, E / R * (3.0 - t * t) / 2.0, 2)
+        x, R = Fraction(rv), Fraction(R)
+        return _kernel("inverse", src, r, Fraction(E) * (3 * R**2 - x**2) / (2 * R**3), 2)
     if rv == 0.0:
         rv = R / DEFAULT_INTERVALS
         warnings.warn(
@@ -336,21 +339,22 @@ def radial_reduce_inverse(src: SourceDensity, r: Quantity) -> Quantity:
 def radial_reduce_linear(src: SourceDensity, r: Quantity) -> Quantity:
     """Linear-distance kernel Int eps(x') |x - x'| d^3x' at radius r.
 
-    A uniform ball evaluates in closed form: E_tot (r + R^2/(5r)) outside, and
-    E_tot (r^2/(2R) + 3R/4 - r^4/(20R^3)) inside.  A tabulated profile gives
-    E_tot*r + M_4/(3r) outside (r >= R) and the mean-radius moment M_3 at
-    r = 0, both from its exact moments M_k = 4*pi*Int r'^k eps dr', and runs
-    composite Simpson per smooth piece at other interior radii.  A value past
-    float64's range raises :class:`DomainError`.
+    A uniform ball evaluates in closed form, correctly rounded:
+    E_tot (r + R^2/(5r)) outside, and E_tot (r^2/(2R) + 3R/4 - r^4/(20R^3))
+    inside.  A tabulated profile gives E_tot*r + M_4/(3r) outside (r >= R)
+    and the mean-radius moment M_3 at r = 0, both from its exact moments
+    M_k = 4*pi*Int r'^k eps dr', and runs composite Simpson per smooth piece
+    at other interior radii.  A value past float64's range raises
+    :class:`DomainError`.
     """
     rv = _radius_value(r)
     R = src.support_radius.value
     if isinstance(src, UniformBall):
-        E = src.total_energy.value
-        if rv >= R:
-            return _kernel("linear", src, r, E * (rv + R * (R / rv) / 5.0), 0)
-        t = rv / R
-        return _kernel("linear", src, r, E * R * (t * t / 2.0 + 0.75 - t**4 / 20.0), 0)
+        E, x, R = Fraction(src.total_energy.value), Fraction(rv), Fraction(R)
+        if x >= R:
+            return _kernel("linear", src, r, E * (5 * x**2 + R**2) / (5 * x), 0)
+        value = E * (10 * (x * R)**2 + 15 * R**4 - x**4) / (20 * R**3)
+        return _kernel("linear", src, r, value, 0)
     radii, densities = src.radii, src.densities
     if rv >= R:
         value = src.total_energy.value * rv + _moment(radii, densities, 4) / (3.0 * rv)
@@ -371,28 +375,19 @@ def near_field_potential(src: SourceDensity, m: Quantity, r: Quantity) -> Quanti
 
     The m^2 factor on the linear term models the second time derivative of
     the source through the Compton-frequency substitution; the additive
-    constant terms carry no r dependence and are dropped.  Every factor is
-    positive, so one that is not a normal float64 raises :class:`DomainError`
-    before any Quantity is built from it.
+    constant terms carry no r dependence and are dropped.  The sum is the
+    exact value of the two kernel values and m, rounded once; it is positive,
+    so one that is not a normal float64 raises :class:`DomainError`.
     """
     _check_energy(m, "m")
     if m.value <= 0.0:
         raise DomainError("mass must be positive")
-    inv = radial_reduce_inverse(src, r).value
-    lin = radial_reduce_linear(src, r).value
-    try:
-        cube = m.value**3
-    except OverflowError:
-        cube = math.inf
-    inverse_term = 4.0 * (m.value * inv)
-    linear_term = 2.0 * (cube * lin)
-    total = inverse_term + linear_term
-    # the kernels are normal already: _kernel raises on any other value
-    terms = (cube, inverse_term, linear_term, total)
-    if not is_normal(*terms):
-        raise range_error(terms, "the near field at m = {}, r = {}", m.value, r.value)
+    inv = Fraction(radial_reduce_inverse(src, r).value)
+    lin = Fraction(radial_reduce_linear(src, r).value)
+    mass = Fraction(m.value)
     # m * inverse kernel and m^3 * linear kernel both have dim 3
-    return Quantity(total, 3)
+    return Quantity(normal_float(4 * mass * inv + 2 * mass**3 * lin,
+                                 "the near field at m = {}, r = {}", m.value, r.value), 3)
 
 
 def far_field_coupling(
@@ -408,8 +403,9 @@ def far_field_coupling(
     Each of the d diagonal stress components contributes one third of the
     energy density, so three dimensions reproduce the full Coulomb coupling
     e^2/r for the default source (the calibration anchor), and one or two
-    dimensions leave the fractions 1/3 and 2/3.  The coupling is positive, so
-    one that is not a normal float64 raises :class:`DomainError`.
+    dimensions leave the fractions 1/3 and 2/3.  The coupling is the exact
+    value of its inputs, rounded once; it is positive, so one that is not a
+    normal float64 raises :class:`DomainError`.
     """
     if isinstance(d, bool) or not isinstance(d, int) or d not in (1, 2, 3):
         raise InvalidDimension(f"spatial dimension must be 1, 2, or 3, got {d!r}")
@@ -419,10 +415,7 @@ def far_field_coupling(
         raise RegimeError(
             f"far-field form needs r > Compton wavelength ({lam.value:.6g}), got {r.value:.6g}"
         )
-    e2 = resolve_e_squared(e_squared)
-    energy_ratio = src.total_energy.value / m.value
-    value = float(Fraction(d, 3)) * float(e2) * energy_ratio / r.value
-    terms = (energy_ratio, value)
-    if not is_normal(*terms):
-        raise range_error(terms, "the far field at d = {}, m = {}, r = {}", d, m.value, r.value)
-    return Quantity(value, 1)
+    value = (Fraction(d, 3) * resolve_e_squared(e_squared) * Fraction(src.total_energy.value)
+             / (Fraction(m.value) * Fraction(r.value)))
+    return Quantity(normal_float(value, "the far field at d = {}, m = {}, r = {}",
+                                 d, m.value, r.value), 1)

@@ -215,6 +215,7 @@ def test_malformed_config_is_usage_error(tmp_path):
     ("charge", {"d": True}),  # once d = 1
     ("regime", {"ratio": "1.0"}),
     ("derive", {"e2_mode": 1}),
+    ("potential", {"r_stop": 10**400}),  # an int past float64's range
 ])
 def test_mistyped_config_value_is_usage_error(capsys, tmp_path, command, config):
     cfg = tmp_path / "run.json"

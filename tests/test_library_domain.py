@@ -5,17 +5,22 @@ Every name in ``comptonqcd.__all__`` is either drawn here or listed in
 sweep's extremes (nan, +-inf, +-0, 1e-320, 1e-300, 1e308, 1.7e308), a few
 ordinary values and any float, with every warning an error.  The rule: the
 call raises a :class:`ToolkitError`, or every float it returns is finite and
-normal wherever its exact value is non-zero.  The sweep cannot tell an exact
-zero from an underflow by its value, so a returned zero passes; the library
-itself is stricter, as ``natunits.normal_float`` passes a zero only from an
-int or a rational, and ``_FAULTS`` pins the paths that once returned a float
-zero.  A float that equals a drawn input passes too, as a constructor stores
-its arguments.  Now and then an argument that must be exact or real (a
-charge, a slope coefficient, a fermion count, e^2, the regime's ratio and
-band) is drawn as a string, a bool or a float that the call must reject: a
-call that returns anyway has coerced it silently, and fails.  ``Quantity``'s
-arithmetic operators are out of scope: they return whatever float arithmetic
-gives, so ``Quantity(1e-300, -1) * Quantity(1e-300, -1)`` holds 0.0.
+normal wherever its exact value is non-zero.  For the closed forms
+(``evaluate_cornell``, a ball's two kernels, ``near_field_potential`` from
+its two kernel values and ``far_field_coupling``) the sweep computes that
+exact value from the drawn inputs, and the call must return it rounded once,
+so it returns zero only where the exact value is zero.  Elsewhere the sweep
+cannot tell an exact zero from an underflow by its value, so a returned zero
+passes; the library itself is stricter, as ``natunits.normal_float`` passes
+a zero only from an int or a rational, and ``_FAULTS`` pins the paths that
+once returned a float zero.  A float that equals a drawn input passes too,
+as a constructor stores its arguments.  Now and then an argument that must
+be exact or real (a charge, a slope coefficient, a fermion count, e^2, the
+regime's ratio and band) is drawn as a string, a bool or a float that the
+call must reject: a call that returns anyway has coerced it silently, and
+fails.  ``Quantity``'s arithmetic operators are out of scope: they return
+whatever float arithmetic gives, so
+``Quantity(1e-300, -1) * Quantity(1e-300, -1)`` holds 0.0.
 """
 
 import math
@@ -71,6 +76,7 @@ class _Draw:
         self.wild = {data.draw(st.integers(0, 7), label="wild argument") for _ in range(2)}
         self.count = 0
         self.rejected = []
+        self.exact = None
 
     def checked(self, strategy, bad):
         """A draw from strategy, or one time in four from bad, which the call must reject."""
@@ -135,6 +141,51 @@ class _Draw:
                             self.checked(st.integers(-1, 10**6), NOT_INT))
 
 
+def _rounded_once(d, call, exact, *args, **kwargs):
+    """call(*args, **kwargs), noting on d the exact value that it must return rounded once."""
+    result = call(*args, **kwargs)
+    d.exact = exact(*args, **kwargs)
+    return result
+
+
+def _cornell_exact(potential, r):
+    alpha, sigma, x = (Fraction(q.value) for q in (potential.alpha, potential.sigma, r))
+    return sigma * x - alpha / x
+
+
+def _ball(src, r):
+    """E, R and r of a ball as rationals; None for a table, which has no closed form inside."""
+    if isinstance(src, UniformBall):
+        return (Fraction(src.total_energy.value), Fraction(src.support_radius.value),
+                Fraction(r.value))
+    return None
+
+
+def _inverse_exact(src, r):
+    if (ball := _ball(src, r)) is not None:
+        E, R, x = ball
+        return E / x if x >= R else E * (3 * R**2 - x**2) / (2 * R**3)
+
+
+def _linear_exact(src, r):
+    if (ball := _ball(src, r)) is not None:
+        E, R, x = ball
+        return E * (x + R**2 / (5 * x)) if x >= R else \
+            E * (x**2 / (2 * R) + 3 * R / 4 - x**4 / (20 * R**3))
+
+
+def _near_field_exact(src, m, r):
+    inv = Fraction(comptonqcd.radial_reduce_inverse(src, r).value)
+    lin = Fraction(comptonqcd.radial_reduce_linear(src, r).value)
+    mass = Fraction(m.value)
+    return 4 * mass * inv + 2 * mass**3 * lin
+
+
+def _far_field_exact(src, m, d, r, *, e_squared):
+    return (Fraction(d, 3) * comptonqcd.resolve_e_squared(e_squared)
+            * Fraction(src.total_energy.value) / (Fraction(m.value) * Fraction(r.value)))
+
+
 def _load_source_csv(d):
     rows = "".join(f"{r!r},{eps!r}\n" for r, eps in zip(*d.samples()))
     with tempfile.TemporaryDirectory() as tmp:
@@ -157,18 +208,21 @@ CALLS = {
     "RadialTable.from_samples": lambda d: RadialTable.from_samples(*d.samples(), d.quantity(1)),
     "default_source": lambda d: comptonqcd.default_source(d.quantity(1)),
     "load_source_csv": _load_source_csv,
-    "radial_reduce_inverse": lambda d: comptonqcd.radial_reduce_inverse(
-        d.source(), d.quantity(-1)),
-    "radial_reduce_linear": lambda d: comptonqcd.radial_reduce_linear(d.source(), d.quantity(-1)),
-    "near_field_potential": lambda d: comptonqcd.near_field_potential(
-        d.source(), d.quantity(1), d.quantity(-1)),
-    "far_field_coupling": lambda d: comptonqcd.far_field_coupling(
-        d.source(), d.quantity(1), d(st.sampled_from([1, 2, 3] * 3 + [0, 4])), d.quantity(-1),
-        e_squared=d(E_SQUARED)),
+    "radial_reduce_inverse": lambda d: _rounded_once(
+        d, comptonqcd.radial_reduce_inverse, _inverse_exact, d.source(), d.quantity(-1)),
+    "radial_reduce_linear": lambda d: _rounded_once(
+        d, comptonqcd.radial_reduce_linear, _linear_exact, d.source(), d.quantity(-1)),
+    "near_field_potential": lambda d: _rounded_once(
+        d, comptonqcd.near_field_potential, _near_field_exact, d.source(), d.quantity(1),
+        d.quantity(-1)),
+    "far_field_coupling": lambda d: _rounded_once(
+        d, comptonqcd.far_field_coupling, _far_field_exact, d.source(), d.quantity(1),
+        d(st.sampled_from([1, 2, 3] * 3 + [0, 4])), d.quantity(-1), e_squared=d(E_SQUARED)),
     # potential
     "CornellPotential": lambda d: d.potential(),
     "cornell_from_quark_mass": lambda d: comptonqcd.cornell_from_quark_mass(d.quantity(1)),
-    "evaluate_cornell": lambda d: comptonqcd.evaluate_cornell(d.potential(), d.quantity(-1)),
+    "evaluate_cornell": lambda d: _rounded_once(
+        d, comptonqcd.evaluate_cornell, _cornell_exact, d.potential(), d.quantity(-1)),
     "charge_fraction": lambda d: comptonqcd.charge_fraction(d(st.integers(-1, 4))),
     "QuarkConfiguration": lambda d: d.configuration(),
     "proton_configuration": lambda d: comptonqcd.proton_configuration(d.quantity(-1)),
@@ -260,6 +314,8 @@ def test_library_input_domain_sweep(name, data):
         except ToolkitError:
             return
     assert not draw.rejected, (name, "accepted", draw.rejected)
+    if draw.exact is not None:
+        assert values == [float(draw.exact)], (name, values, draw.exact)
     for value in values:
         assert math.isfinite(value), (name, value)
         if value != 0.0 and abs(value) < sys.float_info.min:

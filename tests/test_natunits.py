@@ -104,9 +104,13 @@ def test_operator_sugar_matches_qarith():
     assert (2.0 * b).value == 3.0 and (2.0 * b).dim == -1
     assert (a + Quantity(1.0, 2)).value == 4.0
     assert (a**3).dim == 6
+    assert -b == Quantity(-1.5, -1)
     for operand in ("3", None, True, float("nan")):
         with pytest.raises(InvalidQuantity):
             a * operand
+    for exponent in (0.5, 2.0, True):
+        with pytest.raises(DimensionError, match="^quantity exponents must be integers$"):
+            a**exponent
 
 
 def test_pow_out_of_range_is_a_toolkit_error():
@@ -230,6 +234,17 @@ def test_range_error_words_every_bound_one_way():
         error = range_error(values, what, *inputs)
         assert isinstance(error, DomainError)
         assert str(error) == f"the sum at a = 1e-300, b = 1e+400, kind = ball {bound} float64"
+
+
+def test_an_int_past_float64_prints_as_a_rational():
+    # n printed as its 401 digits once made a 473-character message
+    with pytest.raises(DomainError) as exc:
+        MassEstimate(Fraction(1, 9), Fraction(1, 10**300), 10**400).mass
+    assert str(exc.value) == ("the mass n/(k e^2) at n = 1e+400, k = 0.111111, e^2 = 1e-300 "
+                              "overflows float64")
+    # an int within float64's range prints in full
+    assert str(range_error((math.inf,), "n = {}, d = {}", 1233, -3)) == \
+        "n = 1233, d = -3 overflows float64"
 
 
 @pytest.mark.parametrize("value", ["1/137", True, 1j])

@@ -83,6 +83,26 @@ def test_evaluate_cornell_term_outside_float64_is_domain_error(alpha, sigma, r, 
         evaluate_cornell(v, Quantity(r, -1))
 
 
+def test_cornell_is_correctly_rounded_at_the_crossover():
+    # sigma*r - alpha/r in floats once cancelled to 0.0 here, against an exact -3.6e-17
+    alpha, sigma, r = 1.4302060167127721, 8.489593995678604, 0.41044582250162376
+    got = evaluate_cornell(CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2)),
+                           Quantity(r, -1)).value
+    exact = Fraction(sigma) * Fraction(r) - Fraction(alpha) / Fraction(r)
+    assert got == float(exact) == pytest.approx(-3.6e-17, rel=0.05)
+
+
+def test_cornell_is_never_zero_at_a_float_crossover():
+    # a float radius sqrt(alpha/sigma) is never the exact crossover of float inputs
+    rng = np.random.default_rng(31)
+    for alpha, sigma in rng.uniform(0.1, 10.0, size=(20000, 2)).tolist():
+        r = math.sqrt(alpha / sigma)
+        v = CornellPotential(Quantity(alpha, 0), Quantity(sigma, 2))
+        got = evaluate_cornell(v, Quantity(r, -1)).value
+        assert got != 0.0, (alpha, sigma, r)
+        assert got == float(Fraction(sigma) * Fraction(r) - Fraction(alpha) / Fraction(r))
+
+
 def test_cornell_is_strictly_increasing_with_unique_zero():
     v = CornellPotential(Quantity(1.0, 0), Quantity(4.0, 2))
     # the crossover radius sqrt(alpha/sigma)
@@ -145,6 +165,12 @@ def test_configuration_energy_scales_as_inverse_separation():
     assert configuration_energy_fraction(proton_configuration(Quantity(2.0, -1))) == Fraction(
         -1, 9
     ) * E2_PAPER
+
+
+def test_one_charge_is_not_a_configuration():
+    for charges, positions in (((Fraction(1),), (0.0,)), ((Fraction(1), Fraction(1)), (0.0,))):
+        with pytest.raises(DomainError, match="^need at least two charges"):
+            QuarkConfiguration(charges, positions, Quantity(1.0, -1))
 
 
 def test_coincident_positions_rejected():

@@ -125,6 +125,7 @@ def exact_ball_kernels(e_tot: float, big_r: float, r: float) -> tuple[Fraction, 
 
 def test_ball_kernels_are_exact_closed_forms():
     # R**3 once overflowed at R = 1e200 and underflowed to 0 at R = 1e-200
+    m = Quantity(3.0, 1)
     for e_tot, big_r in ((1.0, 1.0), (2.0, 0.5), (0.3, 7.25), (1.0, 1e-200), (1.0, 1e200)):
         ball = UniformBall(Quantity(big_r, -1), Quantity(e_tot, 1))
         # the centre, inside, the surface and outside
@@ -133,8 +134,12 @@ def test_ball_kernels_are_exact_closed_forms():
             want_inv, want_lin = exact_ball_kernels(e_tot, big_r, r)
             got_inv = radial_reduce_inverse(ball, Quantity(r, -1)).value
             got_lin = radial_reduce_linear(ball, Quantity(r, -1)).value
-            assert abs(Fraction(got_inv) - want_inv) <= Fraction(1e-14) * want_inv
-            assert abs(Fraction(got_lin) - want_lin) <= Fraction(1e-14) * want_lin
+            # each kernel is its exact value, rounded once
+            assert (got_inv, got_lin) == (float(want_inv), float(want_lin))
+            # the near field is the exact sum of the two kernel values, rounded once
+            mass = Fraction(m.value)
+            want = 4 * mass * Fraction(got_inv) + 2 * mass**3 * Fraction(got_lin)
+            assert near_field_potential(ball, m, Quantity(r, -1)).value == float(want)
 
 
 def test_ball_kernels_need_no_quadrature(monkeypatch):
@@ -266,6 +271,9 @@ def test_table_normalization_enforced():
 def test_direct_table_construction_rejects_unnormalized():
     with pytest.raises(InvalidSource):
         RadialTable((0.0, 1.0), (5.0, 0.0), Quantity(1.0, -1), Quantity(1.0, 1))
+    for energy in (0.0, -1.0):
+        with pytest.raises(InvalidSource, match="^total energy must be positive$"):
+            RadialTable((0.0, 1.0), (5.0, 0.0), Quantity(1.0, -1), Quantity(energy, 1))
 
 
 def test_table_validation_errors():
@@ -350,6 +358,13 @@ def test_csv_rejects_bad_header(tmp_path):
         load_source_csv(str(path), Quantity(1.0, 1))
 
 
+def test_csv_rejects_a_row_of_three_cells(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("r,eps\n0,1\n0.5,1,2\n1,0\n", encoding="utf-8")
+    with pytest.raises(InvalidSource, match=f"^{re.escape(str(path))}:3: expected two columns$"):
+        load_source_csv(str(path), Quantity(1.0, 1))
+
+
 def test_csv_rejects_bad_cell(tmp_path):
     path = tmp_path / "bad2.csv"
     path.write_text("r,eps\n0,1\nx,0\n", encoding="utf-8")
@@ -358,6 +373,12 @@ def test_csv_rejects_bad_cell(tmp_path):
 
 
 # --- composed fields ---------------------------------------------------------
+
+
+def test_near_field_rejects_a_mass_that_is_not_positive():
+    for m in (0.0, -1.0):
+        with pytest.raises(DomainError, match="^mass must be positive$"):
+            near_field_potential(BALL, Quantity(m, 1), Quantity(2.0, -1))
 
 
 def test_near_field_point_value():
@@ -490,11 +511,24 @@ def test_far_field_outside_float64_is_domain_error():
     message = "far field at d = 1, m = 1, r = 1e+306 underflows"
     with pytest.raises(DomainError, match=re.escape(message)):
         far_field_coupling(default_source(m), m, 1, Quantity(1e306, -1))
-    # the source's energy over the mass leaves float64
     light, heavy = Quantity(1e-300, 1), UniformBall(Quantity(1.0, -1), Quantity(1e300, 1))
     message = "far field at d = 3, m = 1e-300, r = 1e+301 overflows"
     with pytest.raises(DomainError, match=re.escape(message)):
-        far_field_coupling(heavy, light, 3, Quantity(1e301, -1))
+        far_field_coupling(heavy, light, 3, Quantity(1e301, -1), e_squared=1e10)
+    # E/m alone leaves float64, which once raised here, but the coupling does not
+    got = far_field_coupling(heavy, light, 3, Quantity(1e301, -1)).value
+    exact = Fraction(1, 137) * Fraction(1e300) / (Fraction(1e-300) * Fraction(1e301))
+    assert got == float(exact) == pytest.approx(7.2992700729927e+296, rel=1e-13)
+
+
+def test_far_field_is_correctly_rounded():
+    for m_value, r_value, d, e2 in ((1.0, 1.25, 1, None), (3.0, 0.7, 2, 0.3), (0.1, 11.0, 3, 2.5)):
+        m = Quantity(m_value, 1)
+        got = far_field_coupling(default_source(m), m, d, Quantity(r_value, -1), e_squared=e2)
+        e_squared = Fraction(1, 137) if e2 is None else Fraction(e2)
+        exact = Fraction(d, 3) * e_squared * Fraction(m_value) / (Fraction(m_value)
+                                                                  * Fraction(r_value))
+        assert got.value == float(exact)
 
 
 def test_far_field_regime_and_dimension_errors():

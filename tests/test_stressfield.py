@@ -125,7 +125,7 @@ def exact_ball_kernels(e_tot: float, big_r: float, r: float) -> tuple[Fraction, 
 
 def test_ball_kernels_are_exact_closed_forms():
     # R**3 once overflowed at R = 1e200 and underflowed to 0 at R = 1e-200
-    m = Quantity(3.0, 1)
+    m, mass = Quantity(3.0, 1), Fraction(3)
     for e_tot, big_r in ((1.0, 1.0), (2.0, 0.5), (0.3, 7.25), (1.0, 1e-200), (1.0, 1e200)):
         ball = UniformBall(Quantity(big_r, -1), Quantity(e_tot, 1))
         # the centre, inside, the surface and outside
@@ -137,7 +137,6 @@ def test_ball_kernels_are_exact_closed_forms():
             # each kernel is its exact value, rounded once
             assert (got_inv, got_lin) == (float(want_inv), float(want_lin))
             # the near field is the exact sum of the two kernel values, rounded once
-            mass = Fraction(m.value)
             want = 4 * mass * Fraction(got_inv) + 2 * mass**3 * Fraction(got_lin)
             assert near_field_potential(ball, m, Quantity(r, -1)).value == float(want)
 

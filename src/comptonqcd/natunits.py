@@ -234,10 +234,11 @@ def normal_float(value: Fraction | float, what: str, *inputs) -> float:
 def _g(x) -> str:
     """A number as ``%.6g`` prints a float; a rational may lie past float64's range.
 
-    A string prints as it is, and so does an int within float64's range; a
-    larger int prints as a rational does (``1e+400``).
+    A string prints as it is, and so does an int that float64 holds exactly
+    (up to 2**53), such as a count; a larger int prints as a rational does
+    (``1e+300``, ``1e+400``), not as its hundreds of digits.
     """
-    if isinstance(x, str) or (isinstance(x, int) and abs(x) <= sys.float_info.max):
+    if isinstance(x, str) or (isinstance(x, int) and abs(x) <= 2**53):
         return str(x)
     if isinstance(x, (int, Fraction)):
         try:

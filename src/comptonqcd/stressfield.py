@@ -110,6 +110,11 @@ class RadialTable(Frozen):
     :meth:`from_samples` or :func:`load_source_csv`: the stored densities must
     satisfy 4*pi*Int r'^2 eps dr' = E_tot to 1e-10 relative, and construction
     rejects tables that do not.
+
+    The samples are tuples of floats, because :class:`Frozen` hashes and
+    compares an instance by its fields, and because loading a table and its
+    exterior field need no numpy.  Each interior integral converts them to
+    float64 arrays once, not once per Simpson piece.
     """
 
     __slots__ = ("radii", "densities", "support_radius", "total_energy")
@@ -269,13 +274,16 @@ def _table_integral(
     import numpy as np
 
     edges = [lo] + [p for p in radii if lo < p < hi] + [hi]
+    # np.interp would convert tuples to arrays again on every piece
+    xp = np.array(radii, dtype=np.float64)
+    fp = np.array(densities, dtype=np.float64)
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b in zip(edges, edges[1:]):
             n = max(4, int(round(DEFAULT_INTERVALS * (b - a) / (hi - lo))))
             n += n % 2
             x = np.linspace(a, b, n + 1)
-            eps = np.interp(x, radii, densities, left=densities[0], right=0.0)
+            eps = np.interp(x, xp, fp, left=densities[0], right=0.0)
             total += composite_simpson(weight(x) * eps, (b - a) / n)
     return total
 

@@ -242,9 +242,18 @@ def test_an_int_past_float64_prints_as_a_rational():
         MassEstimate(Fraction(1, 9), Fraction(1, 10**300), 10**400).mass
     assert str(exc.value) == ("the mass n/(k e^2) at n = 1e+400, k = 0.111111, e^2 = 1e-300 "
                               "overflows float64")
-    # an int within float64's range prints in full
-    assert str(range_error((math.inf,), "n = {}, d = {}", 1233, -3)) == \
-        "n = 1233, d = -3 overflows float64"
+    # so does one within float64's range but past 2**53: 10**300 once printed
+    # as its 301 digits in a 373-character message
+    with pytest.raises(DomainError) as exc:
+        MassEstimate(Fraction(1, 9), Fraction(1, 10**300), 10**300).mass
+    assert str(exc.value) == ("the mass n/(k e^2) at n = 1e+300, k = 0.111111, e^2 = 1e-300 "
+                              "overflows float64")
+    assert str(range_error((math.inf,), "n = {}, d = {}", 10**308, -(2**53 + 1))) == \
+        "n = 1e+308, d = -9.0072e+15 overflows float64"
+    # an int that float64 holds exactly prints in full
+    assert str(range_error((math.inf,), "n = {}, d = {}, ell = {}, count = {}",
+                           1233, -3, 0, 2**53)) == \
+        "n = 1233, d = -3, ell = 0, count = 9007199254740992 overflows float64"
 
 
 @pytest.mark.parametrize("value", ["1/137", True, 1j])

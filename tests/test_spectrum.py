@@ -560,12 +560,22 @@ class _Digest(io.TextIOBase):
 
 def test_csv_export_memory_is_one_block():
     # 10^6 rows of text are 23.9 MB, and one float64 array of the table 8 MB.
-    # Evaluated, normalized and written a block at a time, the export traces
-    # about 0.5 MiB (18.3 MiB when it held the table's two arrays).  Summing
-    # the norm per block moved two rows in the 10th digit: rows 450701
+    # Summing the norm per block moved two rows in the 10th digit: rows 450701
     # (0.007208407109 -> 0.00720840711) and 743090 (8.247193449e-05 ->
     # 8.24719345e-05)
-    argv = ["spectrum", "--grid-points", str(MAX_GRID_POINTS), "--format", "csv"]
+    sink = _Digest()
+    with contextlib.redirect_stdout(sink):
+        assert main(["spectrum", "--grid-points", str(MAX_GRID_POINTS), "--format", "csv"]) == 0
+    assert sink.chars == 23_917_959
+    assert sink.sha.hexdigest() == ("9ed5e8c156661aa4887e24967e27720e"
+                                    "bfb0f69da5ae8ce81fee77b1e81842b7")
+    # evaluated, normalized and written a block at a time, the export traces
+    # about 0.5 MiB (18.3 MiB at 10^6 rows when it held the table's two
+    # arrays); tracing costs seconds per 10^6 rows, so the peak is taken at
+    # 2*10^5 rows, where one float64 array of the table is 1.6 MB
+    rows = 200_000
+    assert rows * 8 > 1 << 20
+    argv = ["spectrum", "--grid-points", str(rows), "--format", "csv"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv[:2] + ["1000", "--format", "csv"]) == 0
     sink = _Digest()
@@ -576,9 +586,6 @@ def test_csv_export_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sink.chars == 23_917_959
-    assert sink.sha.hexdigest() == ("9ed5e8c156661aa4887e24967e27720e"
-                                    "bfb0f69da5ae8ce81fee77b1e81842b7")
     assert peak < 1 << 20
 
 

@@ -427,6 +427,56 @@ def test_interior_table_kernel_overflow_raises_no_numpy_warning():
             radial_reduce_linear(tab, Quantity(1e103, -1))
 
 
+def irregular_table(size: int) -> RadialTable:
+    """A table of ``size`` unevenly spaced samples of (1 - x^2)^2 (1 + x/5)."""
+    big_r = 0.75
+    radii = [0.0] + [big_r * (i + 0.25 * ((i * 37) % 11 - 5) / 5) / (size - 1)
+                     for i in range(1, size - 1)] + [big_r]
+    x = [r / big_r for r in radii[:-1]]
+    densities = [(1.0 - t * t) * (1.0 - t * t) * (1.0 + 0.2 * t) for t in x] + [0.0]
+    return RadialTable.from_samples(radii, densities, Quantity(1.3, 1))
+
+
+def test_table_kernels_pass_numpy_interp_arrays(monkeypatch):
+    # np.interp builds arrays from tuples on every call, and an interior
+    # point calls it once per Simpson piece: the kernels convert the table's
+    # tuples once per integral
+    interp = np.interp
+    calls = []
+
+    def arrays_only(x, xp, fp, *args, **kwargs):
+        assert isinstance(xp, np.ndarray) and isinstance(fp, np.ndarray), (type(xp), type(fp))
+        calls.append(len(xp))
+        return interp(x, xp, fp, *args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", arrays_only)
+    tab = irregular_table(33)
+    near_field_potential(tab, Quantity(1.2, 1), Quantity(0.3, -1))
+    # 31 samples lie strictly inside (0, R), so r splits each kernel's span
+    # into 33 pieces, with one call each
+    assert calls == [33] * 66
+
+
+# repr of interior kernel values; a kernel change that moves one is named in
+# CHANGES.md
+TABLE_KERNEL_PINS = {
+    (65, 0.05): ("3.7143748853861758", "0.5424578932601982", "19.703733928960887"),
+    (65, 0.3): ("3.2142860074211956", "0.6464201185633133", "17.66260076537655"),
+    (65, 0.6): ("2.1540458366201674", "0.9181383833855672", "13.512506268757322"),
+    (257, 0.05): ("3.715033400296005", "0.542338240321535", "19.706481279972046"),
+    (257, 0.3): ("3.214746907904648", "0.6463179398210329", "17.6644599579638"),
+    (257, 0.6): ("2.1541226048335087", "0.9180710526835051", "13.512642061275034"),
+}
+
+
+@pytest.mark.parametrize("size, r", list(TABLE_KERNEL_PINS))
+def test_interior_table_kernel_values_are_pinned(size, r):
+    tab, q = irregular_table(size), Quantity(r, -1)
+    got = (radial_reduce_inverse(tab, q).value, radial_reduce_linear(tab, q).value,
+           near_field_potential(tab, Quantity(1.2, 1), q).value)
+    assert tuple(map(repr, got)) == TABLE_KERNEL_PINS[size, r]
+
+
 def test_kernel_underflow_is_domain_error():
     # E/R (3 - t^2)/2, about 1.5e-600 inside this ball, once came back to a
     # library caller as Quantity(0.0, 2)

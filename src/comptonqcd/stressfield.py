@@ -15,9 +15,11 @@ ball needs no quadrature at all.  A tabulated profile is piecewise linear, so
 each x^k eps(x) is a polynomial of degree <= 5 on each piece and a 3-point
 Gauss-Legendre rule per piece gives its moments exactly; they set its
 normalization (M_2 = E_tot), its exterior kernels and the r = 0 limit of its
-linear kernel.  Interior table radii have a kink at r' = r, so there both
-integrals run as composite Simpson on each smooth piece (each table segment,
-split at r), about DEFAULT_INTERVALS panels per integral.
+linear kernel.  The same rule over the pieces cut at r gives the partial
+moments M_k(a, b) = 4*pi * Int_a^b r'^k eps(r') dr', and with them the
+interior inverse kernel M_2(0, r)/r + M_1(r, R).  The interior linear kernel
+runs as composite Simpson on each smooth piece (each table segment, split at
+r), about DEFAULT_INTERVALS panels per integral; only it imports numpy.
 
 The near-field potential combines the kernels as
 
@@ -38,8 +40,9 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Callable, Iterator, Union
 
 from .errors import (
     DomainError,
@@ -112,9 +115,10 @@ class RadialTable(Frozen):
     rejects tables that do not.
 
     The samples are tuples of floats, because :class:`Frozen` hashes and
-    compares an instance by its fields, and because loading a table and its
-    exterior field need no numpy.  Each interior integral converts them to
-    float64 arrays once, not once per Simpson piece.
+    compares an instance by its fields, and because loading a table, its
+    exterior field and its inverse kernel need no numpy.  Each Simpson
+    integral of the interior linear kernel converts them to float64 arrays
+    once, not once per piece.
     """
 
     __slots__ = ("radii", "densities", "support_radius", "total_energy")
@@ -169,6 +173,11 @@ class RadialTable(Frozen):
 def _validate_samples(r: tuple[float, ...], eps: tuple[float, ...]) -> None:
     if len(r) != len(eps) or len(r) < 2:
         raise InvalidSource("need at least two (r, eps) samples of equal length")
+    # a nan radius would pass the ordering check, since every comparison with
+    # nan is false
+    for i, (x, e) in enumerate(zip(r, eps)):
+        if not (math.isfinite(x) and math.isfinite(e)):
+            raise InvalidSource(f"sample {i} (r = {x:g}, eps = {e:g}) is not finite")
     if r[0] < 0.0:
         raise InvalidSource("radii must be non-negative")
     if any(b <= a for a, b in zip(r, r[1:])):
@@ -190,10 +199,14 @@ def default_source(m: Quantity) -> UniformBall:
 def load_source_csv(path: str, total_energy: Quantity) -> RadialTable:
     """Load a two-column profile CSV with header ``r,eps``.
 
-    Radii must increase strictly and the final row must carry eps = 0.
+    Radii must increase strictly and the final row must carry eps = 0.  A
+    file that is not UTF-8 text raises :class:`InvalidSource` naming it.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except UnicodeDecodeError as exc:
+        raise InvalidSource(f"{path}: not UTF-8 text: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != ["r", "eps"]:
         raise InvalidSource(f"{path}: expected header 'r,eps'")
     radii: list[float] = []
@@ -218,22 +231,28 @@ def load_source_csv(path: str, total_energy: Quantity) -> RadialTable:
 _GAUSS_S = 0.5 - 0.5 * math.sqrt(0.6)
 
 
-def _moment(radii: tuple[float, ...], densities: tuple[float, ...], k: int) -> float:
-    """M_k = 4*pi * Int_0^R r'^k eps(r') dr' of a table, exact up to rounding (k <= 4).
+def _moment(radii: tuple[float, ...], densities: tuple[float, ...], k: int,
+            span: tuple[float, float] | None = None) -> float:
+    """M_k = 4*pi * Int r'^k eps(r') dr' of a table, exact up to rounding (k <= 4).
 
-    eps is linear on each piece, so x^k eps(x) has degree <= 5 there and the
-    3-point rule is exact.  Each term is a non-negative density at a node
-    times a positive weight, so nothing cancels, however narrow the piece;
-    a monomial antiderivative c0 (b^(k+1) - a^(k+1))/(k+1) + ... would lose
-    digits to cancellation on a narrow piece far from the origin.  The flat
-    segment below radii[0] enters in closed form.  A moment past float64's
-    range comes back as inf or nan, never as an exception: ``float ** int``
-    raises OverflowError where ``float * float`` gives inf.
+    The integral runs over [0, R], or over span = (lo, hi) with
+    0 <= lo < hi <= R.  eps is linear on each piece, so x^k eps(x) has degree
+    <= 5 there and the 3-point rule is exact.  Each term is a non-negative
+    density at a node times a positive weight, so nothing cancels, however
+    narrow the piece; a monomial antiderivative c0 (b^(k+1) - a^(k+1))/(k+1)
+    + ... would lose digits to cancellation on a narrow piece far from the
+    origin.  Over [0, R] the flat segment below radii[0] enters in closed
+    form; over a span it is one more piece, and the piece that holds a bound
+    is clipped there, with eps interpolated at the cut.  A moment past
+    float64's range comes back as inf or nan, never as an exception:
+    ``float ** int`` raises OverflowError where ``float * float`` gives inf.
     """
     s0, s2 = _GAUSS_S, 1.0 - _GAUSS_S
-    total = 0.0
+    pieces = (zip(radii, radii[1:], densities, densities[1:]) if span is None
+              else _clipped_pieces(radii, densities, *span))
+    flat, total = 0.0, 0.0
     try:
-        for a, b, ea, eb in zip(radii, radii[1:], densities, densities[1:]):
+        for a, b, ea, eb in pieces:
             h = b - a
             # eps at the nodes, interpolated without differences
             total += h * (
@@ -241,10 +260,28 @@ def _moment(radii: tuple[float, ...], densities: tuple[float, ...], k: int) -> f
                 + 4.0 * (a + 0.5 * h) ** k * (ea + eb)
                 + 5.0 * (a + s2 * h) ** k * (s0 * ea + s2 * eb)
             )
-        flat = densities[0] * radii[0] ** (k + 1) / (k + 1)
+        if span is None:
+            flat = densities[0] * radii[0] ** (k + 1) / (k + 1)
     except OverflowError:
         return math.inf
     return 4.0 * math.pi * (flat + total / 18.0)
+
+
+def _clipped_pieces(radii: tuple[float, ...], densities: tuple[float, ...], lo: float,
+                    hi: float) -> Iterator[tuple[float, float, float, float]]:
+    """The pieces (a, b, eps(a), eps(b)) of a table between lo and hi, flat core included."""
+    i, j = bisect_right(radii, lo), bisect_left(radii, hi)
+    xs = (lo, *radii[i:j], hi)
+    es = (_density(radii, densities, lo, i), *densities[i:j], _density(radii, densities, hi, j))
+    return zip(xs, xs[1:], es, es[1:])
+
+
+def _density(radii: tuple[float, ...], densities: tuple[float, ...], x: float, p: int) -> float:
+    """eps(x) on the piece [radii[p - 1], radii[p]] that holds x, or in the flat core at p = 0."""
+    if p == 0:
+        return densities[0]
+    t = (x - radii[p - 1]) / (radii[p] - radii[p - 1])
+    return (1.0 - t) * densities[p - 1] + t * densities[p]
 
 
 def _energy_moment(radii: tuple[float, ...], densities: tuple[float, ...]) -> float:
@@ -316,10 +353,10 @@ def radial_reduce_inverse(src: SourceDensity, r: Quantity) -> Quantity:
 
     Outside the support (r >= R) it is E_tot/r for every source (shell
     theorem).  Inside, a uniform ball gives E_tot (3R^2 - r^2) / (2R^3),
-    correctly rounded; a tabulated profile runs composite Simpson per smooth
-    piece, and r = 0 is clamped to R / DEFAULT_INTERVALS with
-    :class:`ClampWarning`.  A value past float64's range raises
-    :class:`DomainError`.
+    correctly rounded; a tabulated profile gives M_2(0, r)/r + M_1(r, R) from
+    its exact partial moments M_k(a, b) = 4*pi*Int_a^b r'^k eps dr', and r = 0
+    is clamped to R / DEFAULT_INTERVALS with :class:`ClampWarning`.  A value
+    past float64's range raises :class:`DomainError`.
     """
     rv = _radius_value(r)
     R = src.support_radius.value
@@ -338,10 +375,9 @@ def radial_reduce_inverse(src: SourceDensity, r: Quantity) -> Quantity:
             stacklevel=2,
         )
     radii, densities = src.radii, src.densities
-    # r' <= r: (r + r') - |r - r'| = 2 r';   r' >= r: it equals 2 r.
-    total = _table_integral(radii, densities, lambda x: x * ((rv + x) - (rv - x)), 0.0, rv)
-    total += _table_integral(radii, densities, lambda x: x * ((rv + x) - (x - rv)), rv, R)
-    return _kernel("inverse", src, r, 2.0 * math.pi / rv * total, 2)
+    # (r + r') - |r - r'| is 2 r' for r' <= r and 2 r for r' >= r
+    value = _moment(radii, densities, 2, (0.0, rv)) / rv + _moment(radii, densities, 1, (rv, R))
+    return _kernel("inverse", src, r, value, 2)
 
 
 def radial_reduce_linear(src: SourceDensity, r: Quantity) -> Quantity:

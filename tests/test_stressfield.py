@@ -182,15 +182,18 @@ def test_table_shell_theorem():
         assert abs(got - 3.0 / r) <= 1e-10 * (3.0 / r)
 
 
-def exact_table_integral(tab: RadialTable, coefficients: dict[int, Fraction]) -> Fraction:
-    """Int_0^R p(x) eps(x) dx in rationals, for p(x) = sum c_j x^j and the stored samples.
+def exact_table_integral(tab: RadialTable, coefficients: dict[int, Fraction],
+                         lo: Fraction = Fraction(0), hi: Fraction | None = None) -> Fraction:
+    """Int_lo^hi p(x) eps(x) dx in rationals, for p(x) = sum c_j x^j and the stored samples.
 
-    eps is flat below the first radius and linear on each piece,
-    eps(x) = c0 + q x, so each piece contributes c0 (b^(j+1) - a^(j+1))/(j+1)
-    + q (b^(j+2) - a^(j+2))/(j+2) for each term, computed exactly.
+    The span is [0, R] unless given.  eps is flat below the first radius and
+    linear on each piece, eps(x) = c0 + q x, so each piece, cut to the span,
+    contributes c0 (b^(j+1) - a^(j+1))/(j+1) + q (b^(j+2) - a^(j+2))/(j+2) for
+    each term, computed exactly.
     """
     radii = [Fraction(x) for x in tab.radii]
     eps = [Fraction(e) for e in tab.densities]
+    hi = radii[-1] if hi is None else hi
     pieces = [(Fraction(0), radii[0], eps[0], eps[0])] + list(
         zip(radii, radii[1:], eps, eps[1:]))
     total = Fraction(0)
@@ -199,6 +202,9 @@ def exact_table_integral(tab: RadialTable, coefficients: dict[int, Fraction]) ->
             continue
         q = (eb - ea) / (b - a)
         c0 = ea - q * a
+        a, b = max(a, lo), min(b, hi)
+        if b <= a:
+            continue
         for j, c in coefficients.items():
             total += c * (c0 * (b ** (j + 1) - a ** (j + 1)) / (j + 1)
                           + q * (b ** (j + 2) - a ** (j + 2)) / (j + 2))
@@ -206,12 +212,13 @@ def exact_table_integral(tab: RadialTable, coefficients: dict[int, Fraction]) ->
 
 
 def assert_exact_table(tab: RadialTable, rel: float = 1e-13) -> None:
-    """Normalization, moments and exterior kernels of a table against rationals.
+    """Normalization, moments, exterior and interior inverse kernels against rationals.
 
     M_k = 4 pi Int x^k eps dx.  At r >= R the radial reductions read
     inverse: (2 pi / r) Int 2x^2 eps dx,
     linear:  (2 pi / (3r)) Int (6r^2 x^2 + 2x^4) eps dx,
-    and at r = 0 the linear kernel is M_3.
+    and at r = 0 the linear kernel is M_3.  Inside, the inverse kernel is
+    (4 pi / r) Int_0^r x^2 eps dx + 4 pi Int_r^R x eps dx.
     """
     from comptonqcd.stressfield import _moment
 
@@ -233,6 +240,17 @@ def assert_exact_table(tab: RadialTable, rel: float = 1e-13) -> None:
               2 * pi / x * exact_table_integral(tab, {2: 2}))
         close(radial_reduce_linear(tab, Quantity(r, -1)).value,
               2 * pi / (3 * x) * exact_table_integral(tab, {2: 6 * x * x, 4: 2}))
+    # a sample radius, the middle of the last piece, just below R, and inside
+    # the flat core when the first sample is not at 0
+    first, samples = tab.radii[0], [x for x in tab.radii[:-1] if x > 0.0]
+    interior = [0.5 * (tab.radii[-2] + big_r), math.nextafter(big_r, 0.0)]
+    interior += [samples[len(samples) // 2]] if samples else []
+    interior += [0.5 * first] if first > 0.0 else []
+    for r in interior:
+        x = Fraction(r)
+        close(radial_reduce_inverse(tab, Quantity(r, -1)).value,
+              4 * pi / x * exact_table_integral(tab, {2: 1}, hi=x)
+              + 4 * pi * exact_table_integral(tab, {1: 1}, lo=x))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -364,6 +382,38 @@ def test_csv_rejects_a_row_of_three_cells(tmp_path):
         load_source_csv(str(path), Quantity(1.0, 1))
 
 
+def test_csv_that_is_not_utf8_is_invalid_source(tmp_path):
+    # byte 0xE9 (Latin-1 e-acute) once ended in a bare UnicodeDecodeError
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"r,eps\n0,1\n0.5,\xe9\n1,0\n")
+    with pytest.raises(InvalidSource, match=f"^{re.escape(str(path))}: not UTF-8 text: "):
+        load_source_csv(str(path), Quantity(1.0, 1))
+
+
+@pytest.mark.parametrize("radii, densities, index", [
+    ([0.0, math.nan, 1.0], [1.0, 1.0, 0.0], 1),
+    ([0.0, 0.5, math.inf], [1.0, 1.0, 0.0], 2),
+    ([0.0, 0.5, 1.0], [1.0, math.nan, 0.0], 1),
+    ([0.0, 0.5, 1.0], [math.inf, 1.0, 0.0], 0),
+])
+def test_non_finite_sample_is_invalid_source(tmp_path, radii, densities, index):
+    # these once raised "the profile's energy integral ... overflows float64",
+    # and a nan radius passed the strictly-increasing check
+    e = Quantity(1.0, 1)
+    message = (f"^sample {index} \\(r = {radii[index]:g}, eps = {densities[index]:g}\\) "
+               "is not finite$")
+    with pytest.raises(InvalidSource, match=message):
+        RadialTable.from_samples(radii, densities, e)
+    with pytest.raises(InvalidSource, match=message):
+        # the samples are checked before the support radius, which inf cannot be
+        RadialTable(tuple(radii), tuple(densities), Quantity(1.0, -1), e)
+    path = tmp_path / "profile.csv"
+    path.write_text("r,eps\n" + "".join(f"{r},{d}\n" for r, d in zip(radii, densities)),
+                    encoding="utf-8")
+    with pytest.raises(InvalidSource, match=message):
+        load_source_csv(str(path), e)
+
+
 def test_csv_rejects_bad_cell(tmp_path):
     path = tmp_path / "bad2.csv"
     path.write_text("r,eps\n0,1\nx,0\n", encoding="utf-8")
@@ -452,20 +502,35 @@ def test_table_kernels_pass_numpy_interp_arrays(monkeypatch):
     monkeypatch.setattr(np, "interp", arrays_only)
     tab = irregular_table(33)
     near_field_potential(tab, Quantity(1.2, 1), Quantity(0.3, -1))
-    # 31 samples lie strictly inside (0, R), so r splits each kernel's span
-    # into 33 pieces, with one call each
-    assert calls == [33] * 66
+    # 31 samples lie strictly inside (0, R), so r splits the linear kernel's
+    # span into 33 pieces, with one call each; the inverse kernel makes none
+    assert calls == [33] * 33
+
+
+def test_table_inverse_kernel_needs_no_quadrature(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a table's inverse kernel must not call composite_simpson")
+
+    monkeypatch.setattr(stressfield, "composite_simpson", refuse)
+    tab = irregular_table(33)
+    # inside the first piece, on a sample, mid-piece and just below R; a
+    # positive density's potential falls outward, so each exceeds E/R
+    for r in (1e-3, tab.radii[16], 0.5 * (tab.radii[20] + tab.radii[21]), 0.75 * (1.0 - 1e-12)):
+        assert radial_reduce_inverse(tab, Quantity(r, -1)).value > 1.3 / 0.75
+    # the clamped centre takes the same rule
+    with pytest.warns(ClampWarning):
+        radial_reduce_inverse(tab, Quantity(0.0, -1))
 
 
 # repr of interior kernel values; a kernel change that moves one is named in
 # CHANGES.md
 TABLE_KERNEL_PINS = {
-    (65, 0.05): ("3.7143748853861758", "0.5424578932601982", "19.703733928960887"),
-    (65, 0.3): ("3.2142860074211956", "0.6464201185633133", "17.66260076537655"),
+    (65, 0.05): ("3.714374885386176", "0.5424578932601982", "19.70373392896089"),
+    (65, 0.3): ("3.214286007421196", "0.6464201185633133", "17.662600765376553"),
     (65, 0.6): ("2.1540458366201674", "0.9181383833855672", "13.512506268757322"),
-    (257, 0.05): ("3.715033400296005", "0.542338240321535", "19.706481279972046"),
-    (257, 0.3): ("3.214746907904648", "0.6463179398210329", "17.6644599579638"),
-    (257, 0.6): ("2.1541226048335087", "0.9180710526835051", "13.512642061275034"),
+    (257, 0.05): ("3.7150334002960017", "0.542338240321535", "19.70648127997203"),
+    (257, 0.3): ("3.214746907904646", "0.6463179398210329", "17.66445995796379"),
+    (257, 0.6): ("2.154122604833511", "0.9180710526835051", "13.512642061275045"),
 }
 
 

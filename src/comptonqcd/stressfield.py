@@ -18,8 +18,10 @@ normalization (M_2 = E_tot), its exterior kernels and the r = 0 limit of its
 linear kernel.  The same rule over the pieces cut at r gives the partial
 moments M_k(a, b) = 4*pi * Int_a^b r'^k eps(r') dr', and with them the
 interior inverse kernel M_2(0, r)/r + M_1(r, R).  The interior linear kernel
-runs as composite Simpson on each smooth piece (each table segment, split at
-r), about DEFAULT_INTERVALS panels per integral; only it imports numpy.
+runs as composite Simpson on the same pieces, cut at r, with a fixed internal
+panel count; its weights 6r^2 x^2 + 2x^4 (x <= r) and 6r x^3 + 2r^3 x (x >= r)
+are expanded, so no two near-equal cubes cancel at small r.  Only it imports
+numpy.
 
 The near-field potential combines the kernels as
 
@@ -70,10 +72,10 @@ __all__ = [
     "radial_reduce_linear",
     "near_field_potential",
     "far_field_coupling",
-    "DEFAULT_INTERVALS",
 ]
 
-DEFAULT_INTERVALS = 4096
+# panels per Simpson integral; R / _SIMPSON_INTERVALS is also a table's r = 0 clamp radius
+_SIMPSON_INTERVALS = 4096
 
 
 class ClampWarning(RuntimeWarning):
@@ -116,9 +118,7 @@ class RadialTable(Frozen):
 
     The samples are tuples of floats, because :class:`Frozen` hashes and
     compares an instance by its fields, and because loading a table, its
-    exterior field and its inverse kernel need no numpy.  Each Simpson
-    integral of the interior linear kernel converts them to float64 arrays
-    once, not once per piece.
+    exterior field and its inverse kernel need no numpy.
     """
 
     __slots__ = ("radii", "densities", "support_radius", "total_energy")
@@ -200,13 +200,16 @@ def load_source_csv(path: str, total_energy: Quantity) -> RadialTable:
     """Load a two-column profile CSV with header ``r,eps``.
 
     Radii must increase strictly and the final row must carry eps = 0.  A
-    file that is not UTF-8 text raises :class:`InvalidSource` naming it.
+    leading byte-order mark is skipped.  A path that cannot be read, or a file
+    that is not UTF-8 text, raises :class:`InvalidSource` naming it.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if row]
     except UnicodeDecodeError as exc:
         raise InvalidSource(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise InvalidSource(f"{path}: cannot read: {exc.strerror or exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != ["r", "eps"]:
         raise InvalidSource(f"{path}: expected header 'r,eps'")
     radii: list[float] = []
@@ -232,27 +235,22 @@ _GAUSS_S = 0.5 - 0.5 * math.sqrt(0.6)
 
 
 def _moment(radii: tuple[float, ...], densities: tuple[float, ...], k: int,
-            span: tuple[float, float] | None = None) -> float:
-    """M_k = 4*pi * Int r'^k eps(r') dr' of a table, exact up to rounding (k <= 4).
+            lo: float = 0.0, hi: float | None = None) -> float:
+    """M_k = 4*pi * Int_lo^hi r'^k eps(r') dr' of a table, exact up to rounding (k <= 4).
 
-    The integral runs over [0, R], or over span = (lo, hi) with
-    0 <= lo < hi <= R.  eps is linear on each piece, so x^k eps(x) has degree
-    <= 5 there and the 3-point rule is exact.  Each term is a non-negative
-    density at a node times a positive weight, so nothing cancels, however
-    narrow the piece; a monomial antiderivative c0 (b^(k+1) - a^(k+1))/(k+1)
-    + ... would lose digits to cancellation on a narrow piece far from the
-    origin.  Over [0, R] the flat segment below radii[0] enters in closed
-    form; over a span it is one more piece, and the piece that holds a bound
-    is clipped there, with eps interpolated at the cut.  A moment past
+    The span is [0, R] unless given, 0 <= lo < hi <= R.  eps is linear on each
+    piece, the flat core included, so x^k eps(x) has degree <= 5 there and the
+    3-point rule is exact.  Each term is a non-negative density at a node
+    times a positive weight, so nothing cancels, however narrow the piece; a
+    monomial antiderivative c0 (b^(k+1) - a^(k+1))/(k+1) + ... would lose
+    digits to cancellation on a narrow piece far from the origin.  A moment past
     float64's range comes back as inf or nan, never as an exception:
     ``float ** int`` raises OverflowError where ``float * float`` gives inf.
     """
     s0, s2 = _GAUSS_S, 1.0 - _GAUSS_S
-    pieces = (zip(radii, radii[1:], densities, densities[1:]) if span is None
-              else _clipped_pieces(radii, densities, *span))
-    flat, total = 0.0, 0.0
+    total = 0.0
     try:
-        for a, b, ea, eb in pieces:
+        for a, b, ea, eb in _clipped_pieces(radii, densities, lo, radii[-1] if hi is None else hi):
             h = b - a
             # eps at the nodes, interpolated without differences
             total += h * (
@@ -260,16 +258,14 @@ def _moment(radii: tuple[float, ...], densities: tuple[float, ...], k: int,
                 + 4.0 * (a + 0.5 * h) ** k * (ea + eb)
                 + 5.0 * (a + s2 * h) ** k * (s0 * ea + s2 * eb)
             )
-        if span is None:
-            flat = densities[0] * radii[0] ** (k + 1) / (k + 1)
     except OverflowError:
         return math.inf
-    return 4.0 * math.pi * (flat + total / 18.0)
+    return 4.0 * math.pi * (total / 18.0)
 
 
 def _clipped_pieces(radii: tuple[float, ...], densities: tuple[float, ...], lo: float,
                     hi: float) -> Iterator[tuple[float, float, float, float]]:
-    """The pieces (a, b, eps(a), eps(b)) of a table between lo and hi, flat core included."""
+    """The pieces (a, b, eps(a), eps(b)) of a table cut to [lo, hi], flat core included."""
     i, j = bisect_right(radii, lo), bisect_left(radii, hi)
     xs = (lo, *radii[i:j], hi)
     es = (_density(radii, densities, lo, i), *densities[i:j], _density(radii, densities, hi, j))
@@ -302,25 +298,20 @@ def _table_integral(
 ) -> float:
     """Integrate weight(r') * eps(r') for a tabulated profile over [lo, hi].
 
-    Composite Simpson runs inside each smooth piece (each table segment, split
-    at lo and hi), about DEFAULT_INTERVALS panels over the whole span, so the
-    piecewise-linear profile never straddles a quadrature panel.  Past
-    float64's range the total is inf or nan, with no numpy warning: the
-    caller's :func:`_kernel` names the overflow.
+    Composite Simpson runs inside each piece from :func:`_clipped_pieces`, with
+    eps linear between its end values, on its share of about _SIMPSON_INTERVALS
+    panels.  Past float64's range the total is inf or nan, with no numpy
+    warning: the caller's :func:`_kernel` names the overflow.
     """
     import numpy as np
 
-    edges = [lo] + [p for p in radii if lo < p < hi] + [hi]
-    # np.interp would convert tuples to arrays again on every piece
-    xp = np.array(radii, dtype=np.float64)
-    fp = np.array(densities, dtype=np.float64)
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in zip(edges, edges[1:]):
-            n = max(4, int(round(DEFAULT_INTERVALS * (b - a) / (hi - lo))))
+        for a, b, ea, eb in _clipped_pieces(radii, densities, lo, hi):
+            n = max(4, int(round(_SIMPSON_INTERVALS * (b - a) / (hi - lo))))
             n += n % 2
             x = np.linspace(a, b, n + 1)
-            eps = np.interp(x, xp, fp, left=densities[0], right=0.0)
+            eps = ea + (eb - ea) / (b - a) * (x - a)
             total += composite_simpson(weight(x) * eps, (b - a) / n)
     return total
 
@@ -355,7 +346,7 @@ def radial_reduce_inverse(src: SourceDensity, r: Quantity) -> Quantity:
     theorem).  Inside, a uniform ball gives E_tot (3R^2 - r^2) / (2R^3),
     correctly rounded; a tabulated profile gives M_2(0, r)/r + M_1(r, R) from
     its exact partial moments M_k(a, b) = 4*pi*Int_a^b r'^k eps dr', and r = 0
-    is clamped to R / DEFAULT_INTERVALS with :class:`ClampWarning`.  A value
+    is clamped to R / _SIMPSON_INTERVALS with :class:`ClampWarning`.  A value
     past float64's range raises :class:`DomainError`.
     """
     rv = _radius_value(r)
@@ -368,7 +359,7 @@ def radial_reduce_inverse(src: SourceDensity, r: Quantity) -> Quantity:
         x, R = Fraction(rv), Fraction(R)
         return _kernel("inverse", src, r, Fraction(E) * (3 * R**2 - x**2) / (2 * R**3), 2)
     if rv == 0.0:
-        rv = R / DEFAULT_INTERVALS
+        rv = R / _SIMPSON_INTERVALS
         warnings.warn(
             f"r = 0 clamped to the grid spacing {rv:.3e} for a tabulated profile",
             ClampWarning,
@@ -376,7 +367,7 @@ def radial_reduce_inverse(src: SourceDensity, r: Quantity) -> Quantity:
         )
     radii, densities = src.radii, src.densities
     # (r + r') - |r - r'| is 2 r' for r' <= r and 2 r for r' >= r
-    value = _moment(radii, densities, 2, (0.0, rv)) / rv + _moment(radii, densities, 1, (rv, R))
+    value = _moment(radii, densities, 2, 0.0, rv) / rv + _moment(radii, densities, 1, rv, R)
     return _kernel("inverse", src, r, value, 2)
 
 
@@ -405,13 +396,16 @@ def radial_reduce_linear(src: SourceDensity, r: Quantity) -> Quantity:
         return _kernel("linear", src, r, value, 0)
     if rv == 0.0:
         return _kernel("linear", src, r, _moment(radii, densities, 3), 0)
+    # x ((r + x)^3 - |r - x|^3) expanded, so no two near-equal cubes cancel
+    # at r << x; r^3 as a product, since float ** int raises OverflowError
+    r3 = rv * rv * rv
     total = _table_integral(
-        radii, densities, lambda x: x * ((rv + x) ** 3 - (rv - x) ** 3), 0.0, rv
+        radii, densities, lambda x: 6.0 * rv * rv * x * x + 2.0 * x**4, 0.0, rv
     )
     total += _table_integral(
-        radii, densities, lambda x: x * ((rv + x) ** 3 - (x - rv) ** 3), rv, R
+        radii, densities, lambda x: 6.0 * rv * x**3 + 2.0 * r3 * x, rv, R
     )
-    return _kernel("linear", src, r, 2.0 * math.pi / (3.0 * rv) * total, 0)
+    return _kernel("linear", src, r, 2.0 * math.pi / 3.0 * (total / rv), 0)
 
 
 def near_field_potential(src: SourceDensity, m: Quantity, r: Quantity) -> Quantity:

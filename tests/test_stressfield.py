@@ -211,20 +211,32 @@ def exact_table_integral(tab: RadialTable, coefficients: dict[int, Fraction],
     return total
 
 
+def exact_interior_linear(tab: RadialTable, r: float) -> Fraction:
+    """The linear kernel at 0 < r < R in rationals, with pi rounded to a float.
+
+    (2 pi / (3r)) (Int_0^r (6r^2 x^2 + 2x^4) eps dx + Int_r^R (6r x^3 + 2r^3 x) eps dx)
+    """
+    x = Fraction(r)
+    return 2 * Fraction(math.pi) / (3 * x) * (
+        exact_table_integral(tab, {2: 6 * x * x, 4: 2}, hi=x)
+        + exact_table_integral(tab, {3: 6 * x, 1: 2 * x**3}, lo=x))
+
+
 def assert_exact_table(tab: RadialTable, rel: float = 1e-13) -> None:
-    """Normalization, moments, exterior and interior inverse kernels against rationals.
+    """Normalization, moments and the kernels against rationals.
 
     M_k = 4 pi Int x^k eps dx.  At r >= R the radial reductions read
     inverse: (2 pi / r) Int 2x^2 eps dx,
     linear:  (2 pi / (3r)) Int (6r^2 x^2 + 2x^4) eps dx,
     and at r = 0 the linear kernel is M_3.  Inside, the inverse kernel is
-    (4 pi / r) Int_0^r x^2 eps dx + 4 pi Int_r^R x eps dx.
+    (4 pi / r) Int_0^r x^2 eps dx + 4 pi Int_r^R x eps dx, and the linear
+    kernel, which runs as Simpson, holds to 1e-12 (see exact_interior_linear).
     """
     from comptonqcd.stressfield import _moment
 
     pi = Fraction(math.pi)
 
-    def close(got: float, want: Fraction) -> None:
+    def close(got: float, want: Fraction, rel: float = rel) -> None:
         assert abs(Fraction(got) - want) <= Fraction(rel) * abs(want), (got, float(want))
 
     E = Fraction(tab.total_energy.value)
@@ -251,6 +263,8 @@ def assert_exact_table(tab: RadialTable, rel: float = 1e-13) -> None:
         close(radial_reduce_inverse(tab, Quantity(r, -1)).value,
               4 * pi / x * exact_table_integral(tab, {2: 1}, hi=x)
               + 4 * pi * exact_table_integral(tab, {1: 1}, lo=x))
+        close(radial_reduce_linear(tab, Quantity(r, -1)).value, exact_interior_linear(tab, r),
+              rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -390,6 +404,24 @@ def test_csv_that_is_not_utf8_is_invalid_source(tmp_path):
         load_source_csv(str(path), Quantity(1.0, 1))
 
 
+@pytest.mark.parametrize("name, reason", [("missing.csv", "No such file or directory"),
+                                          (".", "Is a directory")])
+def test_csv_path_that_cannot_be_read_is_invalid_source(tmp_path, name, reason):
+    # these once ended in FileNotFoundError and IsADirectoryError
+    path = str(tmp_path / name)
+    with pytest.raises(InvalidSource, match=f"^{re.escape(path)}: cannot read: {reason}$"):
+        load_source_csv(path, Quantity(1.0, 1))
+
+
+def test_csv_with_a_byte_order_mark_reads_its_header(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF, which once made the
+    # header read as '\ufeffr,eps'
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbfr,eps\n0,1\n0.5,1\n1,0\n")
+    tab = load_source_csv(str(path), Quantity(1.0, 1))
+    assert tab.radii == (0.0, 0.5, 1.0)
+
+
 @pytest.mark.parametrize("radii, densities, index", [
     ([0.0, math.nan, 1.0], [1.0, 1.0, 0.0], 1),
     ([0.0, 0.5, math.inf], [1.0, 1.0, 0.0], 2),
@@ -487,24 +519,31 @@ def irregular_table(size: int) -> RadialTable:
     return RadialTable.from_samples(radii, densities, Quantity(1.3, 1))
 
 
-def test_table_kernels_pass_numpy_interp_arrays(monkeypatch):
-    # np.interp builds arrays from tuples on every call, and an interior
-    # point calls it once per Simpson piece: the kernels convert the table's
-    # tuples once per integral
-    interp = np.interp
-    calls = []
+def test_table_kernels_make_no_numpy_interp_call(monkeypatch):
+    # each Simpson piece takes eps from its two end values, so no kernel
+    # interpolates the whole table
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table's kernels must not call np.interp")
 
-    def arrays_only(x, xp, fp, *args, **kwargs):
-        assert isinstance(xp, np.ndarray) and isinstance(fp, np.ndarray), (type(xp), type(fp))
-        calls.append(len(xp))
-        return interp(x, xp, fp, *args, **kwargs)
+    monkeypatch.setattr(np, "interp", refuse)
+    tab, m = irregular_table(33), Quantity(1.2, 1)
+    for r in (0.05, tab.radii[16], 0.3, 0.75, 2.0):
+        near_field_potential(tab, m, Quantity(r, -1))
+    radial_reduce_linear(tab, Quantity(0.0, -1))
+    with pytest.warns(ClampWarning):
+        near_field_potential(tab, m, Quantity(0.0, -1))
 
-    monkeypatch.setattr(np, "interp", arrays_only)
-    tab = irregular_table(33)
-    near_field_potential(tab, Quantity(1.2, 1), Quantity(0.3, -1))
-    # 31 samples lie strictly inside (0, R), so r splits the linear kernel's
-    # span into 33 pieces, with one call each; the inverse kernel makes none
-    assert calls == [33] * 33
+
+@pytest.mark.parametrize("scale", [1e-4, 1e-8, 1e-12, 1e-16, 1e-20, 1e-100, 1e-300])
+def test_interior_table_linear_kernel_holds_at_small_r(scale):
+    # the weights once subtracted (r + x)^3 - (r - x)^3, two near-equal cubes
+    # at r << x: at r = 1e-17 this table's kernel read 8.8e-4, not about its
+    # r = 0 limit M_3 = 0.6, and at r = 1e-100 it raised an underflow
+    tab = RadialTable.from_samples([0.0, 0.5, 1.0], [2.0, 1.0, 0.0], Quantity(1.0, 1))
+    r = scale * tab.support_radius.value
+    got = radial_reduce_linear(tab, Quantity(r, -1)).value
+    want = exact_interior_linear(tab, r)
+    assert abs(Fraction(got) - want) <= Fraction(1e-12) * want, (got, float(want))
 
 
 def test_table_inverse_kernel_needs_no_quadrature(monkeypatch):
@@ -525,12 +564,12 @@ def test_table_inverse_kernel_needs_no_quadrature(monkeypatch):
 # repr of interior kernel values; a kernel change that moves one is named in
 # CHANGES.md
 TABLE_KERNEL_PINS = {
-    (65, 0.05): ("3.714374885386176", "0.5424578932601982", "19.70373392896089"),
+    (65, 0.05): ("3.714374885386176", "0.5424578932601981", "19.70373392896089"),
     (65, 0.3): ("3.214286007421196", "0.6464201185633133", "17.662600765376553"),
-    (65, 0.6): ("2.1540458366201674", "0.9181383833855672", "13.512506268757322"),
-    (257, 0.05): ("3.7150334002960017", "0.542338240321535", "19.70648127997203"),
+    (65, 0.6): ("2.1540458366201674", "0.918138383385567", "13.512506268757322"),
+    (257, 0.05): ("3.7150334002960017", "0.5423382403215351", "19.70648127997203"),
     (257, 0.3): ("3.214746907904646", "0.6463179398210329", "17.66445995796379"),
-    (257, 0.6): ("2.154122604833511", "0.9180710526835051", "13.512642061275045"),
+    (257, 0.6): ("2.154122604833511", "0.918071052683505", "13.512642061275045"),
 }
 
 

@@ -16,7 +16,7 @@ class InvalidQuantity(ToolkitError, ValueError):
 
 
 class DimensionError(ToolkitError, ValueError):
-    """Mass-dimension exponents are incompatible for the requested operation."""
+    """An argument is not a Quantity of the dim expected, or two dims do not combine."""
 
 
 class DivByZero(ToolkitError, ZeroDivisionError):
@@ -24,7 +24,7 @@ class DivByZero(ToolkitError, ZeroDivisionError):
 
 
 class InvalidMass(ToolkitError, ValueError):
-    """A mass argument was zero, negative, or of the wrong dimension."""
+    """A mass argument was zero or negative."""
 
 
 class DomainError(ToolkitError, ValueError):

@@ -12,13 +12,12 @@ reproduces bit for bit at the default coupling e^2 = 1/137.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from enum import Enum
 from fractions import Fraction
 
 from .errors import DomainError
-from .natunits import Frozen, Quantity, normal_float, range_error, resolve_e_squared
+from .natunits import Frozen, Quantity, normal_float, range_error, real, resolve_e_squared, whole
 from .potential import charge_fraction
 
 __all__ = [
@@ -54,8 +53,7 @@ class MassEstimate(Frozen):
         for name, value in (("slope coefficient", slope_coefficient), ("e^2", e_squared)):
             if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                 raise DomainError(f"{name} must be an int or a Fraction, got {value!r}")
-        if isinstance(fermions, bool) or not isinstance(fermions, int):
-            raise DomainError(f"fermion count must be an integer, got {fermions!r}")
+        fermions = whole(fermions, "fermion count")
         if slope_coefficient <= 0:
             raise DomainError(f"slope coefficient must be positive, got {slope_coefficient}")
         if e_squared <= 0:
@@ -85,12 +83,8 @@ def effective_mass_from_slope(
 
     k is a real number other than a bool; a float converts exactly.
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Real):
-        raise DomainError(f"slope coefficient must be a real number, got {k!r}")
-    if isinstance(k, float) and not math.isfinite(k):
-        raise DomainError(f"slope coefficient must be finite, got {k}")
-    coeff = k if isinstance(k, Fraction) else Fraction(k)
-    return MassEstimate(coeff, resolve_e_squared(e_squared), fermions)
+    return MassEstimate(Fraction(real(k, "slope coefficient")), resolve_e_squared(e_squared),
+                        fermions)
 
 
 def quark_mass_estimate(*, e_squared: Fraction | float | None = None) -> MassEstimate:
@@ -125,18 +119,13 @@ def classify_regime(scale_over_compton: float, band_halfwidth: float = 0.5) -> R
     """Classify a probe scale (as a multiple of the Compton wavelength).
 
     Quark at or below 1 - delta, Electron at or above 1 + delta, Pion in the
-    band between; delta defaults to 0.5.  Both are real numbers other than
-    bools, compared exactly; a ratio past float64's range is a
+    band between; delta defaults to 0.5.  Both are finite real numbers other
+    than bools, compared exactly; a ratio past float64's range is a
     :class:`DomainError`.
     """
-    x, delta = scale_over_compton, band_halfwidth
-    for name, value in (("scale ratio", x), ("band halfwidth", delta)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise DomainError(f"{name} must be a real number, got {value!r}")
+    x, delta = real(scale_over_compton, "scale ratio"), real(band_halfwidth, "band halfwidth")
     if not x > 0:
         raise DomainError(f"scale ratio must be positive, got {x}")
-    if not x < math.inf:
-        raise DomainError(f"scale ratio must be finite, got {x}")
     if x > sys.float_info.max:  # an int or a rational too large for a float
         raise range_error((math.inf,), "the scale ratio {}", Fraction(x))
     if not 0 < delta < 1:

@@ -10,6 +10,10 @@ default E2_PAPER is exactly 1/137 so that derived integer mass ratios (137,
 274, 1233) reproduce without float drift; passing ``e_squared=E2_PRECISE``
 (1/137.035999) to any function that takes a coupling gives the sensitivity
 check.
+
+Each kind of argument is checked here, in one place: :func:`dim_value` takes
+the value of a Quantity of the dim expected, :func:`whole` an integer and
+:func:`real` a finite real number.  A bool is neither of the last two.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ __all__ = [
     "resolve_e_squared",
     "is_normal",
     "normal_float",
+    "dim_value",
+    "whole",
+    "real",
     "range_error",
     "E2_PAPER",
     "E2_PRECISE",
@@ -162,12 +169,10 @@ def compton_wavelength(m: Quantity) -> Quantity:
 
     One that is not a normal float64 raises :class:`DomainError`.
     """
-    if m.dim != 1:
-        raise DimensionError(f"mass must have dim 1, got dim {m.dim}")
-    if m.value <= 0.0:
-        raise InvalidMass(f"mass must be positive, got {m.value}")
-    return Quantity(normal_float(1.0 / m.value, "the Compton wavelength 1/m at m = {}", m.value),
-                    -1)
+    value = dim_value(m, 1, "mass")
+    if value <= 0.0:
+        raise InvalidMass(f"mass must be positive, got {value}")
+    return Quantity(normal_float(1.0 / value, "the Compton wavelength 1/m at m = {}", value), -1)
 
 
 def resolve_e_squared(e_squared: Fraction | float | int | None) -> Fraction:
@@ -181,11 +186,7 @@ def resolve_e_squared(e_squared: Fraction | float | int | None) -> Fraction:
     """
     if e_squared is None:
         return E2_PAPER
-    if isinstance(e_squared, bool) or not isinstance(e_squared, (Fraction, numbers.Real)):
-        raise DomainError(f"e^2 must be a real number, got {e_squared!r}")
-    if isinstance(e_squared, float) and not math.isfinite(e_squared):
-        raise DomainError(f"e^2 must be finite, got {e_squared}")
-    frac = e_squared if isinstance(e_squared, Fraction) else Fraction(e_squared)
+    frac = Fraction(real(e_squared, "e^2"))
     if frac <= 0:
         raise DomainError(f"e^2 must be positive, got {e_squared}")
     normal_float(frac, "e^2 = {}", frac)
@@ -229,6 +230,29 @@ def normal_float(value: Fraction | float, what: str, *inputs) -> float:
     if is_normal(result) or (value == 0 and isinstance(value, (int, Fraction))):
         return result
     raise range_error((result,), what, *inputs)
+
+
+def dim_value(q: Quantity, dim: int, name: str) -> float:
+    """``q.value`` of a Quantity of dim ``dim``; anything else raises :class:`DimensionError`."""
+    if isinstance(q, Quantity) and q.dim == dim:
+        return q.value
+    raise DimensionError(f"{name} must be a Quantity of dim {dim}, got {q!r}")
+
+
+def whole(value: int, name: str) -> int:
+    """An integer other than a bool, as an int; anything else raises :class:`DomainError`."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def real(value: float | Fraction, name: str) -> float | Fraction:
+    """A finite real number other than a bool, as given; else a :class:`DomainError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if not -math.inf < value < math.inf:
+        raise DomainError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _g(x) -> str:

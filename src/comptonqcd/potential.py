@@ -32,7 +32,7 @@ from .errors import (
     InvalidMass,
     SingularConfiguration,
 )
-from .natunits import Frozen, Quantity, normal_float, resolve_e_squared
+from .natunits import Frozen, Quantity, dim_value, normal_float, resolve_e_squared
 
 __all__ = [
     "CornellPotential",
@@ -54,11 +54,7 @@ class CornellPotential(Frozen):
     __slots__ = ("alpha", "sigma")
 
     def __init__(self, alpha: Quantity, sigma: Quantity) -> None:
-        if alpha.dim != 0:
-            raise DomainError(f"alpha must be dimensionless, got dim {alpha.dim}")
-        if sigma.dim != 2:
-            raise DomainError(f"sigma must have dim 2, got dim {sigma.dim}")
-        if alpha.value < 0.0 or sigma.value < 0.0:
+        if min(dim_value(alpha, 0, "alpha"), dim_value(sigma, 2, "sigma")) < 0.0:
             raise DomainError("alpha and sigma must be non-negative")
         self._fill(alpha, sigma)
 
@@ -68,12 +64,11 @@ def cornell_from_quark_mass(m_quark: Quantity) -> CornellPotential:
 
     The confinement length is the quark's Compton wavelength 1/m.
     """
-    if m_quark.dim != 1:
-        raise InvalidMass(f"quark mass must have dim 1, got dim {m_quark.dim}")
-    if m_quark.value <= 0.0:
-        raise InvalidMass(f"quark mass must be positive, got {m_quark.value}")
+    m = dim_value(m_quark, 1, "quark mass")
+    if m <= 0.0:
+        raise InvalidMass(f"quark mass must be positive, got {m}")
     # beta * m_e / l^2 with beta = 1/m and l = 1/m collapses to m exactly
-    return CornellPotential(Quantity(1.0, 0), Quantity(m_quark.value, 2))
+    return CornellPotential(Quantity(1.0, 0), Quantity(m, 2))
 
 
 def evaluate_cornell(potential: CornellPotential, r: Quantity) -> Quantity:
@@ -83,15 +78,14 @@ def evaluate_cornell(potential: CornellPotential, r: Quantity) -> Quantity:
     where that value is, and one outside float64's normal range raises
     :class:`DomainError`.
     """
-    if r.dim != -1:
-        raise DomainError(f"radius must have dim -1, got dim {r.dim}")
-    if r.value <= 0.0:
-        raise DomainError(f"radius must be positive, got {r.value}")
+    rv = dim_value(r, -1, "radius")
+    if rv <= 0.0:
+        raise DomainError(f"radius must be positive, got {rv}")
     alpha, sigma = potential.alpha.value, potential.sigma.value
-    x = Fraction(r.value)
+    x = Fraction(rv)
     value = (Fraction(sigma) * x**2 - Fraction(alpha)) / x
     return Quantity(normal_float(value, "V at alpha = {}, sigma = {}, r = {}",
-                                 alpha, sigma, r.value), 1)
+                                 alpha, sigma, rv), 1)
 
 
 def charge_fraction(d: int) -> Fraction:
@@ -116,7 +110,7 @@ class QuarkConfiguration(Frozen):
             raise DomainError("need at least two charges with matching positions")
         if any(isinstance(q, bool) or not isinstance(q, (int, Fraction)) for q in charges):
             raise DomainError(f"charges must be ints or Fractions, got {charges}")
-        if separation.dim != -1 or separation.value <= 0.0:
+        if dim_value(separation, -1, "separation") <= 0.0:
             raise DomainError("separation must be a positive length (dim -1)")
         if not all(map(math.isfinite, positions)):
             raise DomainError(f"positions must be finite, got {positions}")
@@ -236,7 +230,7 @@ def confinement_slope(
     value is positive, so one that is not a normal float64 raises
     :class:`DomainError`.
     """
-    if separation.dim != -1 or separation.value <= 0.0:
+    if dim_value(separation, -1, "separation") <= 0.0:
         raise DomainError("separation must be a positive length (dim -1)")
     e2 = resolve_e_squared(e_squared)
     return Quantity(normal_float(e2 / 9 / Fraction(separation.value) ** 2,

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, GridTooSmall, NoBoundState
 from .estimator import quark_mass_estimate
-from .natunits import Frozen, Quantity, compton_wavelength, normal_float
+from .natunits import Frozen, Quantity, compton_wavelength, dim_value, normal_float, whole
 from .potential import CornellPotential, cornell_from_quark_mass
 from .quadrature import composite_simpson
 
@@ -91,10 +91,10 @@ class RadialProblem(Frozen):
 
     def __init__(self, potential: CornellPotential, reduced_mass: Quantity,
                  angular_momentum: int = 0, grid_points: int = DEFAULT_GRID_POINTS) -> None:
-        if reduced_mass.dim != 1:
-            raise DomainError("reduced mass must have dim 1")
-        if not reduced_mass.value > 0.0:
+        if not dim_value(reduced_mass, 1, "reduced mass") > 0.0:
             raise DomainError("reduced mass must be positive")
+        angular_momentum = whole(angular_momentum, "angular momentum ell")
+        grid_points = whole(grid_points, "grid_points")
         if not 0 <= angular_momentum <= MAX_ANGULAR_MOMENTUM:
             raise DomainError(f"angular momentum ell must be 0 to {MAX_ANGULAR_MOMENTUM}, "
                               f"got {angular_momentum}")
@@ -136,14 +136,15 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
     where sigma^2 underflows.  With a Coulomb term (alpha > 0) and k = n + ell
     the turning point is 2k^2/(mu alpha) and the decay length k/(mu alpha);
     the tail u ~ r^k e^(-r mu alpha/k) falls more slowly for high k, so the
-    cover adds 15 + (k - 1)/2 of them.  Either term
-    added to the other only deepens the well, so with both present the
-    smaller of the two covers is taken.  alpha and sigma must be
+    cover adds 15 + (k - 1)/2 of them.  Either term added to the other only
+    deepens the well, so with both present the smaller of the two covers is
+    taken.  n and ell must be integers other than bools, and alpha and sigma
     non-negative numbers, as :class:`CornellPotential` requires, or
     :class:`DomainError` names them.  The cover and each decay scale,
     mu*alpha and 2*mu*sigma, must be normal float64 values; inputs that
     overflow or underflow one of them raise :class:`DomainError`.
     """
+    n, ell = whole(n, "level"), whole(ell, "angular momentum")
     if not 1 <= n <= _MAX_LEVEL:
         raise DomainError(f"level must be an integer from 1 to {_MAX_LEVEL}, got {n}")
     if ell < 0:

@@ -52,8 +52,8 @@ from .errors import (
     InvalidSource,
     RegimeError,
 )
-from .natunits import (Frozen, Quantity, compton_wavelength, is_normal, normal_float,
-                       resolve_e_squared)
+from .natunits import (Frozen, Quantity, compton_wavelength, dim_value, is_normal,
+                       normal_float, resolve_e_squared)
 from .quadrature import composite_simpson
 
 # numpy is imported inside the functions that use it, so that the exact
@@ -82,27 +82,15 @@ class ClampWarning(RuntimeWarning):
     """Evaluation radius was clamped away from zero for a tabulated profile."""
 
 
-def _check_radius(q: Quantity, name: str) -> None:
-    if q.dim != -1:
-        raise DomainError(f"{name} must have dim -1, got dim {q.dim}")
-
-
-def _check_energy(q: Quantity, name: str) -> None:
-    if q.dim != 1:
-        raise DomainError(f"{name} must have dim 1, got dim {q.dim}")
-
-
 class UniformBall(Frozen):
     """Constant density inside a ball of radius R carrying total energy E_tot."""
 
     __slots__ = ("support_radius", "total_energy")
 
     def __init__(self, support_radius: Quantity, total_energy: Quantity) -> None:
-        _check_radius(support_radius, "support_radius")
-        _check_energy(total_energy, "total_energy")
-        if support_radius.value <= 0.0:
+        if dim_value(support_radius, -1, "support_radius") <= 0.0:
             raise InvalidSource("support radius must be positive")
-        if total_energy.value <= 0.0:
+        if dim_value(total_energy, 1, "total_energy") <= 0.0:
             raise InvalidSource("total energy must be positive")
         self._fill(support_radius, total_energy)
 
@@ -125,15 +113,15 @@ class RadialTable(Frozen):
 
     def __init__(self, radii: tuple[float, ...], densities: tuple[float, ...],
                  support_radius: Quantity, total_energy: Quantity) -> None:
-        _check_radius(support_radius, "support_radius")
-        _check_energy(total_energy, "total_energy")
+        radius = dim_value(support_radius, -1, "support_radius")
+        energy = dim_value(total_energy, 1, "total_energy")
         _validate_samples(radii, densities)
-        if support_radius.value != radii[-1]:
+        if radius != radii[-1]:
             raise InvalidSource("support radius must equal the last sampled radius")
-        if total_energy.value <= 0.0:
+        if energy <= 0.0:
             raise InvalidSource("total energy must be positive")
         norm = _energy_moment(radii, densities)
-        if abs(norm - total_energy.value) > 1e-10 * total_energy.value:
+        if abs(norm - energy) > 1e-10 * energy:
             raise InvalidSource(
                 "densities are not normalized to the total energy; "
                 "build the table with RadialTable.from_samples"
@@ -155,13 +143,13 @@ class RadialTable(Frozen):
         r = tuple(float(x) for x in radii)
         eps = tuple(float(x) for x in densities)
         _validate_samples(r, eps)
-        _check_energy(total_energy, "total_energy")
-        if total_energy.value <= 0.0:
+        energy = dim_value(total_energy, 1, "total_energy")
+        if energy <= 0.0:
             raise InvalidSource("total energy must be positive")
         norm = _energy_moment(r, eps)
         if norm <= 0.0:
             raise InvalidSource("profile integrates to zero energy")
-        scale = total_energy.value / norm
+        scale = energy / norm
         stored = tuple(e * scale for e in eps)
         for i, (e, value) in enumerate(zip(eps, stored)):
             if e != 0.0 and not is_normal(value):
@@ -298,21 +286,24 @@ def _table_integral(
 ) -> float:
     """Integrate weight(r') * eps(r') for a tabulated profile over [lo, hi].
 
-    Composite Simpson runs inside each piece from :func:`_clipped_pieces`, with
-    eps linear between its end values, on its share of about _SIMPSON_INTERVALS
-    panels.  Past float64's range the total is inf or nan, with no numpy
-    warning: the caller's :func:`_kernel` names the overflow.
+    Composite Simpson runs inside each piece from :func:`_clipped_pieces` that
+    carries density, with eps linear between its end values, on its share of
+    about _SIMPSON_INTERVALS panels.  Past float64's range the total is inf or
+    nan, with no numpy warning: the caller's :func:`_kernel` names the overflow.
     """
     import numpy as np
 
+    pieces = list(_clipped_pieces(radii, densities, lo, hi))
+    span = hi - lo - sum(b - a for a, b, ea, eb in pieces if not (ea or eb))
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b, ea, eb in _clipped_pieces(radii, densities, lo, hi):
-            n = max(4, int(round(_SIMPSON_INTERVALS * (b - a) / (hi - lo))))
-            n += n % 2
-            x = np.linspace(a, b, n + 1)
-            eps = ea + (eb - ea) / (b - a) * (x - a)
-            total += composite_simpson(weight(x) * eps, (b - a) / n)
+        for a, b, ea, eb in pieces:
+            if ea or eb:  # a piece with no density adds nothing and takes no panels
+                n = max(4, int(round(_SIMPSON_INTERVALS * (b - a) / span)))
+                n += n % 2
+                x = np.linspace(a, b, n + 1)
+                eps = ea + (eb - ea) / (b - a) * (x - a)
+                total += composite_simpson(weight(x) * eps, (b - a) / n)
     return total
 
 
@@ -321,10 +312,10 @@ def _table_integral(
 
 
 def _radius_value(r: Quantity) -> float:
-    _check_radius(r, "r")
-    if r.value < 0.0:
-        raise DomainError(f"radius must be non-negative, got {r.value}")
-    return r.value
+    rv = dim_value(r, -1, "r")
+    if rv < 0.0:
+        raise DomainError(f"radius must be non-negative, got {rv}")
+    return rv
 
 
 def _kernel(name: str, src: SourceDensity, r: Quantity, value: Fraction | float,
@@ -417,8 +408,7 @@ def near_field_potential(src: SourceDensity, m: Quantity, r: Quantity) -> Quanti
     exact value of the two kernel values and m, rounded once; it is positive,
     so one that is not a normal float64 raises :class:`DomainError`.
     """
-    _check_energy(m, "m")
-    if m.value <= 0.0:
+    if dim_value(m, 1, "m") <= 0.0:
         raise DomainError("mass must be positive")
     inv = Fraction(radial_reduce_inverse(src, r).value)
     lin = Fraction(radial_reduce_linear(src, r).value)
@@ -447,13 +437,13 @@ def far_field_coupling(
     """
     if isinstance(d, bool) or not isinstance(d, int) or d not in (1, 2, 3):
         raise InvalidDimension(f"spatial dimension must be 1, 2, or 3, got {d!r}")
-    _check_radius(r, "r")
+    rv = dim_value(r, -1, "r")
     lam = compton_wavelength(m)
-    if r.value <= lam.value:
+    if rv <= lam.value:
         raise RegimeError(
-            f"far-field form needs r > Compton wavelength ({lam.value:.6g}), got {r.value:.6g}"
+            f"far-field form needs r > Compton wavelength ({lam.value:.6g}), got {rv:.6g}"
         )
     value = (Fraction(d, 3) * resolve_e_squared(e_squared) * Fraction(src.total_energy.value)
-             / (Fraction(m.value) * Fraction(r.value)))
+             / (Fraction(m.value) * Fraction(rv)))
     return Quantity(normal_float(value, "the far field at d = {}, m = {}, r = {}",
-                                 d, m.value, r.value), 1)
+                                 d, m.value, rv), 1)

@@ -15,11 +15,12 @@ passes; the library itself is stricter, as ``natunits.normal_float`` passes
 a zero only from an int or a rational, and ``_FAULTS`` pins the paths that
 once returned a float zero.  A float that equals a drawn input passes too,
 as a constructor stores its arguments.  Now and then an argument that must
-be exact or real (a charge, a slope coefficient, a fermion count, e^2, the
-regime's ratio and band) is drawn as a string, a bool or a float that the
-call must reject: a call that returns anyway has coerced it silently, and
-fails.  ``Quantity``'s arithmetic operators are out of scope: they return
-whatever float arithmetic gives, so
+be exact, real or an integer (a charge, a slope coefficient, a fermion count,
+e^2, the regime's ratio and band, a level, ell, a grid size) is drawn as a
+string, a bool or a float that the call must reject, and a Quantity as a
+bare float or with the wrong dim: a call that returns anyway has coerced it
+silently, and fails.  ``Quantity``'s arithmetic operators are out of scope:
+they return whatever float arithmetic gives, so
 ``Quantity(1e-300, -1) * Quantity(1e-300, -1)`` holds 0.0.
 """
 
@@ -67,7 +68,7 @@ class _Draw:
     Up to two float arguments, the wild ones, take any float; the others are
     ordinary, so that the call gets past its checks to the arithmetic that an
     extreme value breaks.  A Quantity has the dim its use expects nine times
-    in ten.
+    in ten; otherwise it is a bare float or has the wrong dim.
     """
 
     def __init__(self, data):
@@ -78,9 +79,9 @@ class _Draw:
         self.rejected = []
         self.exact = None
 
-    def checked(self, strategy, bad):
-        """A draw from strategy, or one time in four from bad, which the call must reject."""
-        if not self(st.sampled_from([False] * 3 + [True])):
+    def checked(self, strategy, bad, odds=4):
+        """A draw from strategy, or one time in ``odds`` from bad, which the call must reject."""
+        if not self(st.sampled_from([False] * (odds - 1) + [True])):
             return self(strategy)
         self.rejected.append(self(bad))
         return self.rejected[-1]
@@ -99,7 +100,8 @@ class _Draw:
         value = self.value()
         if not math.isfinite(value):  # Quantity rejects it: its own sweep draws it
             value = 1.0
-        return Quantity(value, self(st.sampled_from((dim,) * 9 + (dim - 1,))))
+        return self.checked(st.just(Quantity(value, dim)),
+                            st.sampled_from([value, Quantity(value, dim - 1)]), odds=10)
 
     def samples(self):
         """Table samples: radii from 0 or a draw by drawn steps, densities ending at zero."""
@@ -118,13 +120,14 @@ class _Draw:
         return CornellPotential(self.quantity(0), self.quantity(2))
 
     def problem(self):
-        grid = self(st.sampled_from([1000] * 8 + [999, comptonqcd.spectrum.MAX_GRID_POINTS + 1]))
+        grid = self.checked(
+            st.sampled_from([1000] * 8 + [999, comptonqcd.spectrum.MAX_GRID_POINTS + 1]), NOT_INT)
         return RadialProblem(self.potential(), self.quantity(1),
-                             self(st.sampled_from([0, 1, 3] * 3 + [-1])), grid)
+                             self.checked(st.sampled_from([0, 1, 3] * 3 + [-1]), NOT_INT), grid)
 
     def state(self):
-        return comptonqcd.solve_bound_state(self.problem(),
-                                            self(st.sampled_from([1, 2, 5] * 3 + [0])))
+        return comptonqcd.solve_bound_state(
+            self.problem(), self.checked(st.sampled_from([1, 2, 5] * 3 + [0]), NOT_INT))
 
     def configuration(self):
         if self(st.booleans()):
@@ -250,7 +253,8 @@ CALLS = {
     # spectrum
     "RadialProblem": lambda d: d.problem(),
     "cover_extent": lambda d: comptonqcd.cover_extent(
-        d.value(), d.value(), d.value(), d(st.integers(0, 51)), d(st.integers(-1, 3))),
+        d.value(), d.value(), d.value(), d.checked(st.integers(0, 51), NOT_INT),
+        d.checked(st.integers(-1, 3), NOT_INT)),
     "solve_bound_state": lambda d: d.state(),
     "wave_blocks": lambda d: list(comptonqcd.wave_blocks(d.state())),
     "wave_table": lambda d: comptonqcd.wave_table(d.state()),
@@ -402,10 +406,13 @@ def test_configurations_with_no_interacting_pair_have_exactly_zero_energy(charge
         assert energy.value == 0.0 and math.copysign(1.0, energy.value) == 1.0
 
 
+_COULOMB = RadialProblem(CornellPotential(Quantity(1.0, 0), Quantity(0.0, 2)), Quantity(1.0, 1))
+
 # each was once coerced: "1/9" and True gave the masses 1233 and 137,
 # fermions=True and 2.5 gave 137 and 342.5, float charges made the exact
 # energy a float, and the regime read "2" as 2 and True as 1, or raised a
-# bare TypeError for "0.5"
+# bare TypeError for "0.5"; ell = 1.5 was solved, level 2.0 raised a bare
+# TypeError, and cover_extent returned 51.875 at n = 2.5
 _COERCIONS = {
     "slope-str": (lambda: comptonqcd.effective_mass_from_slope("1/9"),
                   "slope coefficient must be a real number, got '1/9'"),
@@ -428,6 +435,18 @@ _COERCIONS = {
                     "scale ratio must be a real number, got True"),
     "regime-band-str": (lambda: comptonqcd.classify_regime(2.0, "0.5"),
                         "band halfwidth must be a real number, got '0.5'"),
+    "ell-float": (lambda: RadialProblem(_COULOMB.potential, _COULOMB.reduced_mass, 1.5),
+                  "angular momentum ell must be an integer, got 1.5"),
+    "ell-bool": (lambda: RadialProblem(_COULOMB.potential, _COULOMB.reduced_mass, True),
+                 "angular momentum ell must be an integer, got True"),
+    "grid-float": (lambda: RadialProblem(_COULOMB.potential, _COULOMB.reduced_mass, 0, 2000.5),
+                   "grid_points must be an integer, got 2000.5"),
+    "level-float": (lambda: comptonqcd.solve_bound_state(_COULOMB, 2.0),
+                    "level must be an integer, got 2.0"),
+    "level-bool": (lambda: comptonqcd.solve_bound_state(_COULOMB, True),
+                   "level must be an integer, got True"),
+    "cover-level-float": (lambda: comptonqcd.cover_extent(1.0, 1.0, 1.0, 2.5, 0),
+                          "level must be an integer, got 2.5"),
 }
 
 
@@ -437,3 +456,55 @@ def test_inexact_or_non_real_inputs_are_domain_errors(case):
     with pytest.raises(comptonqcd.DomainError) as exc:
         call()
     assert str(exc.value) == message
+
+
+_BALL = UniformBall(Quantity(1.0, -1), Quantity(1.0, 1))
+_TABLE = RadialTable.from_samples([0.0, 2.0], [1.0, 0.0], Quantity(2.0, 1))
+_CORNELL = _COULOMB.potential
+# each public callable that takes a Quantity, by argument: the call with q in
+# that argument's place, and the dim it expects
+_QUANTITY_ARGS = {
+    "compton_wavelength": (comptonqcd.compton_wavelength, 1),
+    "UniformBall-radius": (lambda q: UniformBall(q, Quantity(1.0, 1)), -1),
+    "UniformBall-energy": (lambda q: UniformBall(Quantity(1.0, -1), q), 1),
+    "RadialTable-radius": (
+        lambda q: RadialTable(_TABLE.radii, _TABLE.densities, q, _TABLE.total_energy), -1),
+    "RadialTable-energy": (
+        lambda q: RadialTable(_TABLE.radii, _TABLE.densities, _TABLE.support_radius, q), 1),
+    "RadialTable.from_samples": (lambda q: RadialTable.from_samples([0.0, 1.0], [1.0, 0.0], q),
+                                 1),
+    "default_source": (comptonqcd.default_source, 1),
+    "load_source_csv": (lambda q: comptonqcd.load_source_csv("profile.csv", q), 1),
+    "radial_reduce_inverse": (lambda q: comptonqcd.radial_reduce_inverse(_BALL, q), -1),
+    "radial_reduce_linear": (lambda q: comptonqcd.radial_reduce_linear(_BALL, q), -1),
+    "near_field_potential-m": (
+        lambda q: comptonqcd.near_field_potential(_BALL, q, Quantity(1.0, -1)), 1),
+    "near_field_potential-r": (
+        lambda q: comptonqcd.near_field_potential(_BALL, Quantity(1.0, 1), q), -1),
+    "far_field_coupling-m": (
+        lambda q: comptonqcd.far_field_coupling(_BALL, q, 3, Quantity(3.0, -1)), 1),
+    "far_field_coupling-r": (
+        lambda q: comptonqcd.far_field_coupling(_BALL, Quantity(1.0, 1), 3, q), -1),
+    "CornellPotential-alpha": (lambda q: CornellPotential(q, Quantity(1.0, 2)), 0),
+    "CornellPotential-sigma": (lambda q: CornellPotential(Quantity(1.0, 0), q), 2),
+    "cornell_from_quark_mass": (comptonqcd.cornell_from_quark_mass, 1),
+    "evaluate_cornell": (lambda q: comptonqcd.evaluate_cornell(_CORNELL, q), -1),
+    "QuarkConfiguration": (lambda q: QuarkConfiguration((1, -1), (0.0, 1.0), q), -1),
+    "proton_configuration": (comptonqcd.proton_configuration, -1),
+    "confinement_slope": (comptonqcd.confinement_slope, -1),
+    "RadialProblem": (lambda q: RadialProblem(_CORNELL, q), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_QUANTITY_ARGS))
+def test_quantity_arguments_must_have_their_dim(case, tmp_path, monkeypatch):
+    # a bare number once raised a bare AttributeError, and a wrong dim a
+    # DomainError or an InvalidMass
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "profile.csv").write_text("r,eps\n0,1\n1,0\n", encoding="utf-8")
+    call, dim = _QUANTITY_ARGS[case]
+    call(Quantity(2.0, dim))
+    for bad in (2.0, Quantity(2.0, dim + 1)):
+        with pytest.raises(comptonqcd.DimensionError) as exc:
+            call(bad)
+        assert str(exc.value).endswith(f" must be a Quantity of dim {dim}, got {bad!r}")

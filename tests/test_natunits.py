@@ -196,9 +196,10 @@ def test_resolve_e_squared():
         resolve_e_squared(-1)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float32(math.inf)])
 def test_resolve_e_squared_rejects_non_finite(value):
-    # nan once raised a bare ValueError and the infinities an OverflowError
+    # nan once raised a bare ValueError and the infinities an OverflowError;
+    # a real number that is not a float, such as numpy's float32, a TypeError
     with pytest.raises(DomainError, match=f"^e\\^2 must be finite, got {value}$"):
         resolve_e_squared(value)
 

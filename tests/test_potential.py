@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from comptonqcd.errors import (
+    DimensionError,
     DomainError,
     InvalidDimension,
     InvalidMass,
@@ -48,7 +49,7 @@ def test_cornell_sigma_linear_in_mass():
 def test_cornell_rejects_bad_mass():
     with pytest.raises(InvalidMass):
         cornell_from_quark_mass(Quantity(0.0, 1))
-    with pytest.raises(InvalidMass):
+    with pytest.raises(DimensionError):
         cornell_from_quark_mass(Quantity(1.0, 0))
 
 

@@ -21,7 +21,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from comptonqcd import spectrum
 from comptonqcd.cli import main
-from comptonqcd.errors import DomainError, GridTooSmall, NoBoundState
+from comptonqcd.errors import DimensionError, DomainError, GridTooSmall, NoBoundState
 from comptonqcd.estimator import quark_mass_estimate
 from comptonqcd.natunits import E2_PRECISE, Quantity
 from comptonqcd.potential import CornellPotential, cornell_from_quark_mass
@@ -417,7 +417,7 @@ def test_radial_problem_validation():
                            (1.0, 0, MAX_GRID_POINTS + 1), (1.0, 0, 10**10)):
         with pytest.raises(DomainError):
             RadialProblem(COULOMB, Quantity(mu, 1), ell, n_pts)
-    with pytest.raises(DomainError, match="dim 1"):
+    with pytest.raises(DimensionError, match="dim 1"):
         RadialProblem(COULOMB, Quantity(1.0, 0))
 
 

@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from comptonqcd import stressfield
-from comptonqcd.errors import DomainError, InvalidDimension, InvalidSource, RegimeError
+from comptonqcd.errors import (DimensionError, DomainError, InvalidDimension, InvalidSource,
+                               RegimeError)
 from comptonqcd.natunits import Quantity
 from comptonqcd.stressfield import (
     ClampWarning,
@@ -297,6 +298,11 @@ def test_table_normalization_enforced():
     # a flat core below the first sample
     offset = RadialTable.from_samples([0.5, 1.0, 2.0], [3.0, 1.0, 0.0], Quantity(2.0, 1))
     assert_exact_table(offset)
+    # a zero-density tail three times as long as the pieces that carry the
+    # density: it once took three quarters of the Simpson panels, and the
+    # interior linear kernel was 2.5e-12 off at r = 0.15
+    tail = RadialTable.from_samples([0.3, 0.8, 3.8], [0.5, 0.0, 0.0], Quantity(1.0, 1))
+    assert_exact_table(tail)
 
 
 def test_direct_table_construction_rejects_unnormalized():
@@ -708,5 +714,5 @@ def test_uniform_ball_validation():
         UniformBall(Quantity(0.0, -1), Quantity(1.0, 1))
     with pytest.raises(InvalidSource):
         UniformBall(Quantity(1.0, -1), Quantity(-1.0, 1))
-    with pytest.raises(DomainError):
+    with pytest.raises(DimensionError):
         UniformBall(Quantity(1.0, 1), Quantity(1.0, 1))  # wrong dim

@@ -55,8 +55,6 @@ FORMAT_CHOICES = ("csv", "json", "table")
 ENV_E2 = "COMPTONQCD_E2"
 # most rows of a potential or field table, checked before any is computed
 MAX_POINTS = 100_000
-# spectrum CSV rows formatted by one % operation
-_CSV_ROWS = 1024
 
 # parser destinations that are not settings
 _NOT_CONFIG = {"help", "config_path"}
@@ -392,14 +390,13 @@ def _run_linearize(cfg: RunConfig) -> Output:
 
 
 def _wave_rows(blocks: Iterable) -> Iterator:
-    """The r,u header, then the CSV text of each block's rows, one % per 1024 rows."""
+    """The r,u header, then the CSV text of each block's rows, one % per block."""
     yield "r,u\n"
     for radii, u in blocks:
-        for i in range(0, len(u), _CSV_ROWS):
-            r = radii[i:i + _CSV_ROWS].tolist()
-            values = r * 2
-            values[::2], values[1::2] = r, u[i:i + _CSV_ROWS].tolist()
-            yield "%.10g,%.10g\n" * len(r) % tuple(values)
+        r = radii.tolist()
+        values = r * 2
+        values[::2], values[1::2] = r, u.tolist()
+        yield "%.10g,%.10g\n" * len(r) % tuple(values)
 
 
 def _run_spectrum(cfg: RunConfig) -> Output:

@@ -247,12 +247,12 @@ def whole(value: int, name: str) -> int:
 
 
 def real(value: float | Fraction, name: str) -> float | Fraction:
-    """A finite real number other than a bool, as given; else a :class:`DomainError`."""
+    """A finite real number other than a bool, as a float unless rational; else a DomainError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     if not -math.inf < value < math.inf:
         raise DomainError(f"{name} must be finite, got {value}")
-    return value
+    return value if isinstance(value, numbers.Rational) else float(value)
 
 
 def _g(x) -> str:

@@ -32,7 +32,7 @@ from .errors import (
     InvalidMass,
     SingularConfiguration,
 )
-from .natunits import Frozen, Quantity, dim_value, normal_float, resolve_e_squared
+from .natunits import Frozen, Quantity, dim_value, normal_float, real, resolve_e_squared
 
 __all__ = [
     "CornellPotential",
@@ -112,8 +112,7 @@ class QuarkConfiguration(Frozen):
             raise DomainError(f"charges must be ints or Fractions, got {charges}")
         if dim_value(separation, -1, "separation") <= 0.0:
             raise DomainError("separation must be a positive length (dim -1)")
-        if not all(map(math.isfinite, positions)):
-            raise DomainError(f"positions must be finite, got {positions}")
+        positions = tuple(real(x, "positions") for x in positions)
         if len(set(positions)) != len(positions):
             raise SingularConfiguration("positions must be pairwise distinct")
         self._fill(charges, positions, separation)
@@ -194,6 +193,7 @@ def central_displacement_energy(
     """
     if axis not in ("axial", "transverse"):
         raise DomainError(f"axis must be 'axial' or 'transverse', got {axis!r}")
+    displacement = real(displacement, "displacement")
     if not abs(displacement) < 1.0:
         raise SingularConfiguration(
             "displacement must satisfy |d| < 1 to keep the central charge inside"

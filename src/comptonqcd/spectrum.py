@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from .errors import DomainError, GridTooSmall, NoBoundState
 from .estimator import quark_mass_estimate
-from .natunits import Frozen, Quantity, compton_wavelength, dim_value, normal_float, whole
+from .natunits import Frozen, Quantity, compton_wavelength, dim_value, normal_float, real, whole
 from .potential import CornellPotential, cornell_from_quark_mass
 from .quadrature import composite_simpson
 
@@ -138,13 +138,14 @@ def cover_extent(alpha: float, sigma: float, mu: float, n: int, ell: int) -> flo
     the tail u ~ r^k e^(-r mu alpha/k) falls more slowly for high k, so the
     cover adds 15 + (k - 1)/2 of them.  Either term added to the other only
     deepens the well, so with both present the smaller of the two covers is
-    taken.  n and ell must be integers other than bools, and alpha and sigma
-    non-negative numbers, as :class:`CornellPotential` requires, or
-    :class:`DomainError` names them.  The cover and each decay scale,
-    mu*alpha and 2*mu*sigma, must be normal float64 values; inputs that
+    taken.  n and ell must be integers other than bools, alpha, sigma and mu
+    finite reals and alpha and sigma non-negative, as :class:`CornellPotential`
+    requires, or :class:`DomainError` names them.  The cover and each decay
+    scale, mu*alpha and 2*mu*sigma, must be normal float64 values; inputs that
     overflow or underflow one of them raise :class:`DomainError`.
     """
     n, ell = whole(n, "level"), whole(ell, "angular momentum")
+    alpha, sigma, mu = real(alpha, "alpha"), real(sigma, "sigma"), real(mu, "reduced mass")
     if not 1 <= n <= _MAX_LEVEL:
         raise DomainError(f"level must be an integer from 1 to {_MAX_LEVEL}, got {n}")
     if ell < 0:

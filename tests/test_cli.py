@@ -7,6 +7,7 @@ import inspect
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -461,6 +462,13 @@ def test_spectrum_hydrogen_summary(capsys):
     validate("spectrum", payload)
     assert payload["E"] == pytest.approx(-0.5, rel=1e-4)
     assert payload["nodes"] == 0
+    # ell = 5, E = -1/72: u ~ r^6 makes the default table's values near the
+    # origin rounding noise, so the nodes are counted on the mesh
+    _, out, _ = run_cli(capsys, "spectrum", "--ell", "5", "--format", "json")
+    payload = json.loads(out)
+    validate("spectrum", payload)
+    assert payload["nodes"] == 0
+    assert abs(payload["E"] + 1.0 / 72.0) <= 1e-12
 
 
 def test_spectrum_csv_with_sidecar(capsys, tmp_path):
@@ -809,9 +817,11 @@ for command in ("derive", "charge", "potential", "linearize", "regime", "field")
         with contextlib.redirect_stdout(io.StringIO()):
             report["codes"].append(cli.main([command, "--format", form]))
 report["numpy_after_exact"] = "numpy" in sys.modules
-# a tabulated source: its construction and exterior kernels use exact moments
+# a tabulated source: its construction, exterior kernels and interior inverse
+# kernel use exact moments
 import os, tempfile
-from comptonqcd import Quantity, load_source_csv, near_field_potential
+from comptonqcd import (DimensionError, Quantity, load_source_csv, near_field_potential,
+                        radial_reduce_inverse)
 m = Quantity(1.0, 1)
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "profile.csv")
@@ -821,6 +831,14 @@ with tempfile.TemporaryDirectory() as tmp:
 for r in (1.0, 3.0):
     near_field_potential(table, m, Quantity(r, -1))
 report["numpy_after_exterior"] = "numpy" in sys.modules
+report["interior_inverse"] = radial_reduce_inverse(table, Quantity(0.4, -1)).value
+report["numpy_after_inverse"] = "numpy" in sys.modules
+# a bare number in place of the mass is rejected before any kernel runs
+try:
+    near_field_potential(table, 1.0, Quantity(2.0, -1))
+except DimensionError as exc:
+    report["bare_mass"] = str(exc)
+report["numpy_after_rejected"] = "numpy" in sys.modules
 near_field_potential(table, m, Quantity(0.5, -1))
 report["numpy_after_interior"] = "numpy" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
@@ -848,9 +866,16 @@ def test_exact_subcommands_and_field_do_not_import_numpy():
     assert report["codes"] == [0] * 19
     assert report["loaded_after_exact"] == []
     assert report["numpy_after_exact"] is False
-    # loading a table and its field outside the support need no numpy; an
-    # interior point runs Simpson quadrature, which does
+    # loading a table, its field outside the support, its inverse kernel
+    # inside and a rejected argument need no numpy; an interior near-field
+    # point runs Simpson quadrature for the linear kernel, which does
     assert report["numpy_after_exterior"] is False
+    # a positive density's potential falls outward, so inside the support it
+    # exceeds its surface value E/R = 1
+    assert 1.0 < report["interior_inverse"] < math.inf
+    assert report["numpy_after_inverse"] is False
+    assert report["bare_mass"].endswith("must be a Quantity of dim 1, got 1.0")
+    assert report["numpy_after_rejected"] is False
     assert report["numpy_after_interior"] is True
     assert report["dataclasses"] is False
     assert report["numpy_after_spectrum"] is True

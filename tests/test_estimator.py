@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +30,8 @@ def test_slope_one_ninth_gives_1233():
 
 def test_slope_one_gives_137():
     assert effective_mass_from_slope(1).mass_fraction == 137
+    # numpy's float32 once reached Fraction(), which raised a bare TypeError
+    assert effective_mass_from_slope(np.float32(0.5)).mass_fraction == 274
 
 
 def test_slope_with_precise_coupling():

@@ -388,8 +388,13 @@ def test_non_finite_positions_and_displacements_are_rejected():
     with pytest.raises(comptonqcd.DomainError, match=r"^positions must be finite"):
         QuarkConfiguration(cfg.charges, (0.0, math.nan, 1.0), cfg.separation)
     for axis in ("axial", "transverse"):
-        with pytest.raises(comptonqcd.SingularConfiguration):
+        with pytest.raises(comptonqcd.DomainError, match=r"^displacement must be finite"):
             comptonqcd.central_displacement_energy(cfg, math.nan, axis)
+    # a string once raised a bare TypeError
+    with pytest.raises(comptonqcd.DomainError, match=r"^positions must be a real number"):
+        QuarkConfiguration(cfg.charges, (0.0, "0", 1.0), cfg.separation)
+    with pytest.raises(comptonqcd.DomainError, match=r"^displacement must be a real number"):
+        comptonqcd.central_displacement_energy(cfg, "0.1")
     with pytest.raises(comptonqcd.DomainError, match=r"^slope coefficient must be finite"):
         comptonqcd.effective_mass_from_slope(math.inf)
 

@@ -191,6 +191,9 @@ def test_resolve_e_squared():
     assert resolve_e_squared(None) == E2_PAPER
     assert resolve_e_squared(Fraction(1)) == 1
     assert resolve_e_squared(0.5) == Fraction(1, 2)
+    # a real number that is neither a float nor rational, such as numpy's
+    # float32, converts as a float; Fraction() once raised a bare TypeError
+    assert resolve_e_squared(np.float32(0.5)) == Fraction(1, 2)
     assert resolve_e_squared(E2_PRECISE) == E2_PRECISE
     with pytest.raises(DomainError):
         resolve_e_squared(-1)

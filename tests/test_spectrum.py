@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -262,14 +263,21 @@ def test_cover_extent_rejects_bad_input():
                  (1.0, 0.0, 1.0, 51, 0), (1.0, 0.0, 1.0, 1, -1)):
         with pytest.raises(DomainError):
             cover_extent(*args)
-    # a nan or negative coupling was once ignored: the first two returned the
-    # linear-only cover 13.74709216593793 and the third the Coulomb-free 17.0
-    for args, named in (((math.nan, 1.0, 1.0, 1, 0), "alpha = nan, sigma = 1, mu = 1"),
-                        ((-1.0, 1.0, 1.0, 1, 0), "alpha = -1, sigma = 1, mu = 1"),
-                        ((1.0, -2.0, 1.0, 1, 0), "alpha = 1, sigma = -2, mu = 1"),
-                        ((math.nan, math.nan, 1.0, 1, 0), "alpha = nan, sigma = nan, mu = 1")):
+    # a nan or negative coupling was once ignored: alpha = nan and alpha = -1
+    # returned the linear-only cover 13.74709216593793 and sigma = -2 the
+    # Coulomb-free 17.0
+    for args, named in (((-1.0, 1.0, 1.0, 1, 0), "alpha = -1, sigma = 1, mu = 1"),
+                        ((1.0, -2.0, 1.0, 1, 0), "alpha = 1, sigma = -2, mu = 1")):
         message = rf"^alpha and sigma must be non-negative \({named}\)$"
         with pytest.raises(DomainError, match=message):
+            cover_extent(*args)
+    # each coupling is a finite real number: a string once raised a bare TypeError
+    for args, message in (((math.nan, 1.0, 1.0, 1, 0), "alpha must be finite, got nan"),
+                          ((math.nan, math.nan, 1.0, 1, 0), "alpha must be finite, got nan"),
+                          ((1.0, math.nan, 1.0, 1, 0), "sigma must be finite, got nan"),
+                          ((1.0, 1.0, math.nan, 1, 0), "reduced mass must be finite, got nan"),
+                          (("1", 1.0, 1.0, 1, 0), "alpha must be a real number, got '1'")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             cover_extent(*args)
     # a decay scale that underflows, and a cover that overflows, leave float64
     for args, message in (
@@ -570,7 +578,7 @@ def test_csv_export_memory_is_one_block():
     assert sink.sha.hexdigest() == ("9ed5e8c156661aa4887e24967e27720e"
                                     "bfb0f69da5ae8ce81fee77b1e81842b7")
     # evaluated, normalized and written a block at a time, the export traces
-    # about 0.5 MiB (18.3 MiB at 10^6 rows when it held the table's two
+    # about 0.8 MiB (18.3 MiB at 10^6 rows when it held the table's two
     # arrays); tracing costs seconds per 10^6 rows, so the peak is taken at
     # 2*10^5 rows, where one float64 array of the table is 1.6 MB
     rows = 200_000
@@ -691,6 +699,8 @@ def test_bound_state_export_round_trip(tmp_path, linear_ground):
     assert np.allclose(table, np.column_stack(wave_table(state)), rtol=1e-9, atol=0.0)
     sidecar = json.loads((tmp_path / "state.csv.json").read_text(encoding="utf-8"))
     assert sidecar == bound_state_sidecar(state)
+    # the last row lies at r_max, printed to 10 digits
+    assert lines[-1].split(",")[0] == f"{sidecar['r_max']:.10g}"
     assert sidecar["n"] == 1 and sidecar["nodes"] == 0
     assert list(sidecar) == [
         "n", "E", "nodes", "rms_radius", "grid_points",

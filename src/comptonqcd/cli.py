@@ -53,6 +53,7 @@ __all__ = ["main", "console_main", "RunConfig", "schema_path"]
 E2 = {"paper-137": E2_PAPER, "precise": E2_PRECISE}
 FORMAT_CHOICES = ("csv", "json", "table")
 ENV_E2 = "COMPTONQCD_E2"
+_NUMBER_FORMAT = "%.10g"  # every printed float; see fmt
 # most rows of a potential or field table, checked before any is computed
 MAX_POINTS = 100_000
 
@@ -100,7 +101,7 @@ class Output:
 
 def fmt(x: float) -> str:
     """Fixed numeric formatting: 10 significant digits, '.' separator."""
-    return f"{x:.10g}"
+    return _NUMBER_FORMAT % x
 
 
 def schema_path(command: str) -> str:
@@ -343,27 +344,22 @@ def _run_linearize(cfg: RunConfig) -> Output:
     sep = Quantity(l_value, -1)
     proton = pot.proton_configuration(sep)
 
-    def axial(x: float) -> float:
-        return pot.central_displacement_energy(proton, x, "axial", e_squared=e2).value
-
-    def transverse(x: float) -> float:
-        return pot.central_displacement_energy(proton, x, "transverse", e_squared=e2).value
-
-    pair = pot.QuarkConfiguration(
-        (Fraction(-1, 3), Fraction(2, 3)), (0.0, 1.0), sep
-    )
+    def displaced(x: float, axis: str = "axial") -> float:
+        return pot.central_displacement_energy(proton, x, axis, e_squared=e2).value
 
     def pair_energy(x: float) -> float:
-        shifted = pot.QuarkConfiguration(pair.charges, (x, 1.0), sep)
+        # the central charge -1/3 and its neighbour 2/3 alone
+        shifted = pot.QuarkConfiguration(proton.charges[1:], (x, 1.0), sep)
         return pot.configuration_energy(shifted, e_squared=e2).value
 
     outside = f"l = {l_value:g} puts a derivative or the slope outside float64"
     try:
-        e0 = axial(0.0)
+        e0, ahead, behind = displaced(0.0), displaced(step), displaced(-step)
+        up, down = displaced(step, "transverse"), displaced(-step, "transverse")
         # displacements are in units of l, so scale the derivatives back by 1/l^k
-        first = (axial(step) - axial(-step)) / (2.0 * step) / l_value
-        second_ax = (axial(step) - 2.0 * e0 + axial(-step)) / step**2 / l_value**2
-        second_tr = (transverse(step) - 2.0 * e0 + transverse(-step)) / step**2 / l_value**2
+        first = (ahead - behind) / (2.0 * step) / l_value
+        second_ax = (ahead - 2.0 * e0 + behind) / step**2 / l_value**2
+        second_tr = (up - 2.0 * e0 + down) / step**2 / l_value**2
         pair_slope = abs(pair_energy(step) - pair_energy(-step)) / (2.0 * step) / l_value
     except (ArithmeticError, DomainError) as exc:  # an energy outside float64 raises DomainError
         raise DomainError(outside) from exc
@@ -383,7 +379,8 @@ def _run_linearize(cfg: RunConfig) -> Output:
         "transverse_second_derivative": second_tr,
         "single_pair_slope_magnitude": pair_slope,
         "declared_slope": declared.value,
-        "declared_slope_exact": estimator.format_exact(e2 / 9 / Fraction(l_value) ** 2),
+        "declared_slope_exact": estimator.format_exact(
+            pot.QUARK_SLOPE_COEFFICIENT * e2 / Fraction(l_value) ** 2),
         "pair_to_declared_ratio": ratio,
     }
     return Output({"e2_mode": cfg.e2_mode, **values}, _record(values))
@@ -396,7 +393,7 @@ def _wave_rows(blocks: Iterable) -> Iterator:
         r = radii.tolist()
         values = r * 2
         values[::2], values[1::2] = r, u.tolist()
-        yield "%.10g,%.10g\n" * len(r) % tuple(values)
+        yield f"{_NUMBER_FORMAT},{_NUMBER_FORMAT}\n" * len(r) % tuple(values)
 
 
 def _run_spectrum(cfg: RunConfig) -> Output:

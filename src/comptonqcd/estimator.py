@@ -2,8 +2,8 @@
 
 Matching a measured linear slope k * e^2 / l^2 against the model form
 (1/m) * m_e / l^2 gives m = m_e / (k * e^2); the separation l cancels.  With
-k = 1/9 (the three-quark line) and e^2 = 1/137 this lands on 1233 m_e, and
-with k = 1 on 137 m_e per fermion, 274 m_e for a two-fermion state.
+``potential``'s k = 1/9 (the three-quark line) and e^2 = 1/137 this lands on
+1233 m_e, and with k = 1 on 137 m_e per fermion, 274 m_e for two fermions.
 
 All masses are exact rationals derived from the stored fields, so the chain
 reproduces bit for bit at the default coupling e^2 = 1/137.
@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .natunits import Frozen, Quantity, normal_float, range_error, real, resolve_e_squared, whole
-from .potential import charge_fraction
+from .potential import QUARK_SLOPE_COEFFICIENT, charge_fraction
 
 __all__ = [
     "MassEstimate",
@@ -32,7 +32,6 @@ __all__ = [
     "format_exact",
 ]
 
-QUARK_SLOPE_COEFFICIENT = Fraction(1, 9)
 PION_SLOPE_COEFFICIENT = Fraction(1)
 PION_FERMION_COUNT = 2
 

@@ -7,17 +7,18 @@ with beta = 1/m and l = 1/m).
 
 Charges are exact rationals in units of e: the effective charge in d spatial
 dimensions is d/3 because each diagonal stress component carries one third of
-the energy density.  The proton is two charges 2/3 flanking a central charge
--1/3 on a line with spacing l; its Coulomb energy and the energy under small
-displacements of the central charge are evaluated exactly in rational
-arithmetic wherever the geometry allows.
+the energy density; :func:`charge_fraction` alone states it, for the proton's
+charges and ``stressfield``'s far field.  The proton is two charges 2/3
+flanking a central charge -1/3 on a line with spacing l; its Coulomb energy
+and the energy under small displacements of the central charge are evaluated
+exactly in rational arithmetic wherever the geometry allows.
 
 Note on the confining slope: the declared linear coefficient for this
-configuration is e^2/(9 l^2), while the exact symmetric Coulomb expansion of
-the displaced-charge energy has no linear term at all (its first derivative
-vanishes by symmetry and its axial curvature is negative).  Both quantities
-are exposed so the relationship stays visible; see
-:func:`central_displacement_energy` and :func:`confinement_slope`.
+configuration is k e^2/l^2 with k = ``QUARK_SLOPE_COEFFICIENT`` = 1/9, while
+the exact symmetric Coulomb expansion of the displaced-charge energy has no
+linear term at all (its first derivative vanishes by symmetry and its axial
+curvature is negative).  Both are exposed so the relationship stays visible;
+see :func:`central_displacement_energy` and :func:`confinement_slope`.
 """
 
 from __future__ import annotations
@@ -122,10 +123,13 @@ class QuarkConfiguration(Frozen):
         return sum(self.charges, Fraction(0))
 
 
+QUARK_SLOPE_COEFFICIENT = Fraction(1, 9)  # k of the three-quark line's slope k e^2 / l^2
+
+
 def proton_configuration(separation: Quantity) -> QuarkConfiguration:
-    """Two charges 2/3 at -l and +l with a central charge -1/3 at the origin."""
+    """Two charges 2/3 (d = 2) at -l and +l around a charge -1/3 (d = 1) at the origin."""
     return QuarkConfiguration(
-        charges=(Fraction(2, 3), Fraction(-1, 3), Fraction(2, 3)),
+        charges=(charge_fraction(2), -charge_fraction(1), charge_fraction(2)),
         positions=(-1.0, 0.0, 1.0),
         separation=separation,
     )
@@ -223,7 +227,7 @@ def central_displacement_energy(
 def confinement_slope(
     separation: Quantity, *, e_squared: Fraction | float | None = None
 ) -> Quantity:
-    """Declared linear coefficient e^2 / (9 l^2) for the three-quark line.
+    """Declared linear coefficient k e^2 / l^2 = e^2 / (9 l^2) for the three-quark line.
 
     Taken as given for the model chain; the exact Coulomb expansion of the
     same configuration has no linear term (see module docstring).  The exact
@@ -233,6 +237,6 @@ def confinement_slope(
     if dim_value(separation, -1, "separation") <= 0.0:
         raise DomainError("separation must be a positive length (dim -1)")
     e2 = resolve_e_squared(e_squared)
-    return Quantity(normal_float(e2 / 9 / Fraction(separation.value) ** 2,
+    return Quantity(normal_float(QUARK_SLOPE_COEFFICIENT * e2 / Fraction(separation.value) ** 2,
                                  "the declared slope e^2/(9 l^2) at l = {}, e^2 = {}",
                                  separation.value, e2), 2)

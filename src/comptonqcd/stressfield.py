@@ -30,7 +30,8 @@ The near-field potential combines the kernels as
 where the m^2 factor on the linear term stands in for the second time
 derivative of the source via the Compton-frequency substitution d/dt -> m.
 The far-field coupling is the d/3 trace fraction of the calibrated Coulomb
-coupling e^2/r, valid only outside the Compton wavelength.
+coupling e^2/r, valid only outside the Compton wavelength, with the fraction
+from ``potential.charge_fraction``: that lazy module runs at a far-field call.
 
 Each closed form (a ball's kernels, the near field from its two kernel values,
 the far-field coupling) is the exact value of its float inputs, rounded once
@@ -46,12 +47,8 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterator, Union
 
-from .errors import (
-    DomainError,
-    InvalidDimension,
-    InvalidSource,
-    RegimeError,
-)
+from . import potential
+from .errors import DomainError, InvalidSource, RegimeError
 from .natunits import (Frozen, Quantity, compton_wavelength, dim_value, is_normal,
                        normal_float, resolve_e_squared)
 from .quadrature import composite_simpson
@@ -294,7 +291,10 @@ def _table_integral(
     import numpy as np
 
     pieces = list(_clipped_pieces(radii, densities, lo, hi))
-    span = hi - lo - sum(b - a for a, b, ea, eb in pieces if not (ea or eb))
+    empty = 0.0  # summed plainly in piece order: sum() compensates from Python 3.12 on
+    for a, b, ea, eb in pieces:
+        empty += 0.0 if ea or eb else b - a
+    span = hi - lo - empty
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for a, b, ea, eb in pieces:
@@ -435,15 +435,14 @@ def far_field_coupling(
     value of its inputs, rounded once; it is positive, so one that is not a
     normal float64 raises :class:`DomainError`.
     """
-    if isinstance(d, bool) or not isinstance(d, int) or d not in (1, 2, 3):
-        raise InvalidDimension(f"spatial dimension must be 1, 2, or 3, got {d!r}")
+    fraction = potential.charge_fraction(d)
     rv = dim_value(r, -1, "r")
     lam = compton_wavelength(m)
     if rv <= lam.value:
         raise RegimeError(
             f"far-field form needs r > Compton wavelength ({lam.value:.6g}), got {rv:.6g}"
         )
-    value = (Fraction(d, 3) * resolve_e_squared(e_squared) * Fraction(src.total_energy.value)
+    value = (fraction * resolve_e_squared(e_squared) * Fraction(src.total_energy.value)
              / (Fraction(m.value) * Fraction(rv)))
     return Quantity(normal_float(value, "the far field at d = {}, m = {}, r = {}",
                                  d, m.value, rv), 1)

@@ -428,6 +428,23 @@ def test_linearize_json_schema_and_values(capsys):
     assert payload["pair_to_declared_ratio"] == pytest.approx(2.0, rel=1e-6)
 
 
+def test_linearize_evaluates_each_displaced_energy_once(capsys, monkeypatch):
+    # the axial energies at +-step once ran twice each: seven exact sums for
+    # five distinct displacements
+    calls = []
+    energy = cli.pot.central_displacement_energy
+
+    def counted(cfg, displacement, axis="axial", **kwargs):
+        calls.append((displacement, axis))
+        return energy(cfg, displacement, axis, **kwargs)
+
+    monkeypatch.setattr(cli.pot, "central_displacement_energy", counted)
+    code, out, _ = run_cli(capsys, "linearize", "--format", "json")
+    assert code == 0 and json.loads(out)["declared_slope_exact"] == "1/1233"
+    assert sorted(calls) == sorted({(0.0, "axial"), (1e-4, "axial"), (-1e-4, "axial"),
+                                    (1e-4, "transverse"), (-1e-4, "transverse")})
+
+
 @pytest.mark.parametrize("step", ["nan", "inf", "0", "0.5"])
 def test_linearize_step_outside_range_is_computation_error(capsys, step):
     # a NaN step once slipped past the range test and ended in a traceback

@@ -1,8 +1,10 @@
 """Eigensolver oracles: hydrogenic closed forms, the Airy-series root for the
-pure linear potential, scaling laws, node counts, and the virial identity.
+pure linear potential, a Frobenius series for the default confinement state,
+scaling laws, node counts, and the virial identity.
 
 The Airy oracle below evaluates Ai(x) from its Maclaurin series and root-finds
-the first zero by bisection; it never touches the mesh solver it checks.
+the first zero by bisection; the Frobenius oracle sums the Cornell series in
+140-digit decimal arithmetic.  Neither touches the mesh solver it checks.
 """
 
 import contextlib
@@ -681,6 +683,84 @@ def test_confinement_report_fields():
     assert report["reduced_mass"] == 616.5
     assert report["within_band"] is True
     assert report["compton_wavelength"] == 1.0 / 1233.0
+
+
+# --- independent Frobenius oracle for the default confinement state --------------
+
+
+def frobenius_u(big_r, energy, alpha, sigma, mu, lam):
+    """u(R) of the s-wave regular at 0, from its entire Frobenius series.
+
+    u = sum a_k r^(k+1) with a_0 = 1 solves -u''/(2 mu) + (-alpha/r + sigma r
+    + lam r^2) u = E u when a_k k (k+1) = 2 mu (-alpha a_(k-1) - E a_(k-2)
+    + sigma a_(k-3) + lam a_(k-4)).  The sum stops once four terms in a row,
+    as many as the recursion reaches back, fall below 1e-130 of the largest.
+    """
+    two_mu = 2 * mu
+    back = [Decimal(0), Decimal(0), Decimal(0), Decimal(1)]  # a_(k-4) .. a_(k-1)
+    power = total = peak = big_r
+    k = small = 0
+    while small < 4:
+        k += 1
+        a_k = two_mu * (-alpha * back[3] - energy * back[2] + sigma * back[1]
+                        + lam * back[0]) / (k * (k + 1))
+        back = back[1:] + [a_k]
+        power *= big_r
+        term = a_k * power
+        total += term
+        peak = max(peak, abs(term))
+        small = small + 1 if abs(term) <= Decimal("1e-130") * peak else 0
+    return total
+
+
+def frobenius_ground_level(big_r, alpha, sigma, mu, lam):
+    """The lowest E with u(R) = 0, bisected on the sign of u(R) to about 1e-46.
+
+    sigma r >= 0 and the wall at R raise every hydrogen level, so the ground
+    state lies above -mu alpha^2/2 and the first excited state above
+    -mu alpha^2/8; a |lam| r^2 far below the gap moves neither past its bound.
+    """
+    lo, hi = -mu * alpha**2 / 2, -mu * alpha**2 / 8
+    assert frobenius_u(big_r, lo, alpha, sigma, mu, lam) > 0
+    assert frobenius_u(big_r, hi, alpha, sigma, mu, lam) < 0
+    for _ in range(160):
+        mid = (lo + hi) / 2
+        if frobenius_u(big_r, mid, alpha, sigma, mu, lam) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def test_confinement_report_matches_the_frobenius_oracle():
+    # the default chain: m = 9 * 137, alpha = 1, sigma = m, mu = m/2, ell = 0;
+    # <r^2> = dE/dlam for an added lam r^2 (Hellmann-Feynman) as a central
+    # difference, and E as the mean of the two shifted levels, off by O(lam^2)
+    with localcontext() as ctx:
+        ctx.prec = 140
+        m = Decimal(9 * 137)
+        lam = Decimal("1e-12")
+        oracle = []
+        for big_r in (Decimal("0.06"), Decimal("0.08")):
+            up, down = (frobenius_ground_level(big_r, Decimal(1), m, m / 2, shift)
+                        for shift in (lam, -lam))
+            oracle.append(((up + down) / 2, (up - down) / (2 * lam)))
+        (energy, r2), (energy_far, r2_far) = oracle
+        # the wall is far enough out that moving it changes nothing printed
+        assert abs(energy_far - energy) <= Decimal("1e-20") * abs(energy)
+        assert abs(r2_far - r2) <= Decimal("1e-20") * r2
+        rms = r2.sqrt()
+        ratio = rms * m
+
+        def off(got: float, want: Decimal) -> Decimal:
+            return abs(Decimal(got) - want) / abs(want)
+
+        report = confinement_report()
+        # off by at most 9.6e-14, 1.04e-11 and 1.04e-11 on OpenBLAS's
+        # SkylakeX, Haswell and Prescott kernels
+        assert off(report["energy"], energy) <= Decimal("1e-12")
+        assert off(report["rms_radius"], rms) <= Decimal("2e-11")
+        assert off(report["ratio"], ratio) <= Decimal("2e-11")
 
 
 # --- export ----------------------------------------------------------------------

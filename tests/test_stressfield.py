@@ -10,8 +10,10 @@ uniform ball of total energy E and support radius R:
 and stay independent of the quadrature path they check.
 """
 
+import json
 import math
 import re
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
@@ -303,6 +305,18 @@ def test_table_normalization_enforced():
     # interior linear kernel was 2.5e-12 off at r = 0.15
     tail = RadialTable.from_samples([0.3, 0.8, 3.8], [0.5, 0.0, 0.0], Quantity(1.0, 1))
     assert_exact_table(tail)
+
+
+def test_table_panels_do_not_depend_on_the_interpreters_sum(monkeypatch):
+    # sum() of floats is compensated from CPython 3.12 on, so the zero-tail
+    # width it once gave moved the panel counts, and the interior linear
+    # values, with the interpreter
+    def no_sum(*args):
+        raise AssertionError("the built-in sum rounds by the interpreter's version")
+
+    monkeypatch.setattr(stressfield, "sum", no_sum, raising=False)
+    tail = RadialTable.from_samples([0.3, 0.8, 3.8], [0.5, 0.0, 0.0], Quantity(1.0, 1))
+    assert repr(radial_reduce_linear(tail, Quantity(0.15, -1)).value) == "0.5040457658779564"
 
 
 def test_direct_table_construction_rejects_unnormalized():
@@ -701,6 +715,42 @@ def test_far_field_regime_and_dimension_errors():
         far_field_coupling(src, m, 4, Quantity(2.0, -1))
     with pytest.raises(InvalidDimension):
         far_field_coupling(src, m, 0, Quantity(2.0, -1))
+
+
+# a library field set-up as a fresh process makes it; type() alone, since any
+# attribute access would run a lazy module
+_LAZY_POTENTIAL_PROBE = """
+import json, os, sys, tempfile, types, warnings
+import comptonqcd.cli, comptonqcd.stressfield as sf
+from comptonqcd.natunits import Quantity
+warnings.simplefilter("ignore", sf.ClampWarning)  # a table's r = 0
+ran = []
+def record():
+    ran.append(type(sys.modules["comptonqcd.potential"]) is types.ModuleType)
+record()
+m = Quantity(1.0, 1)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "profile.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("r,eps\\n0.25,2\\n0.5,1\\n1,0\\n")
+    table = sf.load_source_csv(path, m)
+record()
+for src in (table, sf.default_source(m)):
+    for r in (0.0, 0.5, 3.0):
+        sf.near_field_potential(src, m, Quantity(r, -1))
+record()
+sf.far_field_coupling(table, m, 2, Quantity(3.0, -1))
+record()
+print(json.dumps(ran))
+"""
+
+
+def test_only_the_far_field_runs_the_charge_rules_module():
+    # the far field takes its d/3 from potential.charge_fraction; a source and
+    # its near field leave it unrun, so a field set-up runs no more code than before
+    done = subprocess.run([sys.executable, "-c", _LAZY_POTENTIAL_PROBE],
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [False, False, False, True]
 
 
 def test_default_source_shape():
